@@ -2,7 +2,8 @@
 
 Subcommands: run (pipeline), gen-scenario (simulator files), eval-sct /
 eval-mct / eval-reid (scoring), losses-check (gradient self-test).  Exit
-codes: 0 success, 2 configuration problems, 1 runtime failures.
+codes: 0 success, 2 configuration problems, 1 runtime failures (an input file
+that does not parse among them).
 """
 
 from __future__ import annotations

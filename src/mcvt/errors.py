@@ -27,8 +27,8 @@ class UnknownCamera(McvtError):
 
 
 # ingest
-class DuplicateCamera(McvtError):
-    """Two frames for the same camera in one tick batch."""
+class MalformedInput(McvtError):
+    """An input file row that cannot be parsed."""
 
 
 # sct

@@ -187,12 +187,6 @@ class CameraTopology:
         if not self.overlap <= self.adjacency:
             raise ValueError("overlap relation must be a subset of adjacency")
 
-    def camera(self, cid: str) -> CameraInfo:
-        try:
-            return self.cameras[cid]
-        except KeyError:
-            raise UnknownCamera(cid) from None
-
 
 def make_topology(cameras, adjacent=(), overlap=()) -> CameraTopology:
     """Build a topology from CameraInfo records and iterable id pairs."""

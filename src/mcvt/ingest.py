@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateCamera
+from .errors import MalformedInput
 
 
 class VehicleClass(IntEnum):
@@ -100,12 +100,8 @@ class TickBatch:
     frames: list[FrameRecord] = field(default_factory=list)
 
 
-def filter_confidence(dets: list[Detection], alpha_min: float) -> list[Detection]:
-    """Keep detections with alpha >= alpha_min, preserving order."""
-    return [d for d in dets if d.alpha >= alpha_min]
-
-
 def filter_confidence_indices(dets: list[Detection], alpha_min: float) -> list[int]:
+    """Indices of detections with alpha >= alpha_min, in input order."""
     return [i for i, d in enumerate(dets) if d.alpha >= alpha_min]
 
 
@@ -139,38 +135,30 @@ def nms_indices(dets: list[Detection], iou_thresh: float) -> list[int]:
     return kept
 
 
-def nms(dets: list[Detection], iou_thresh: float) -> list[Detection]:
-    """Greedy class-agnostic NMS over a detection list."""
-    return [dets[i] for i in nms_indices(dets, iou_thresh)]
-
-
-def batch_frames(pending: list[FrameRecord], tick: int) -> TickBatch:
-    """Batch at most one ready frame per camera, ordered by camera id."""
-    seen = set()
-    for fr in pending:
-        if fr.camera in seen:
-            raise DuplicateCamera(fr.camera)
-        seen.add(fr.camera)
-    return TickBatch(tick=tick, frames=sorted(pending, key=lambda fr: fr.camera))
-
-
 def read_detection_csv(path) -> dict[int, list[Detection]]:
     """Read a per-camera detection CSV into frame_index -> detections.
 
     Row layout is ``frame,id,x,y,w,h,conf,class`` with x, y the top-left
     corner.  Rows keep file order within a frame so embedding files stay
-    aligned.
+    aligned.  A row that does not parse raises MalformedInput naming the file
+    and line.
     """
     frames: dict[int, list[Detection]] = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            frame = int(row[0])
-            x, y, w, h = (float(v) for v in row[2:6])
-            conf = float(row[6]) if len(row) > 6 else 1.0
-            beta = VehicleClass.from_value(row[7]) if len(row) > 7 else VehicleClass.CAR
-            det = Detection(x1=x, y1=y, x2=x + w, y2=y + h, alpha=conf, beta=beta)
+            try:
+                frame = int(row[0])
+                x, y, w, h = (float(v) for v in row[2:6])
+                conf = float(row[6]) if len(row) > 6 else 1.0
+                beta = VehicleClass.from_value(row[7]) if len(row) > 7 else VehicleClass.CAR
+                det = Detection(x1=x, y1=y, x2=x + w, y2=y + h, alpha=conf, beta=beta)
+            except ValueError as exc:
+                raise MalformedInput(
+                    f"{path}, line {reader.line_num}: bad detection row {','.join(row)!r} ({exc})"
+                ) from None
             frames.setdefault(frame, []).append(det)
     return frames
 

@@ -140,13 +140,6 @@ class TrackPairContext:
     earlier: object
     later: object
 
-    @classmethod
-    def from_pair(cls, a, b) -> "TrackPairContext":
-        if getattr(a, "t_e", None) is not None and getattr(b, "t_e", None) is not None:
-            if (a.t_e, a.t_s) <= (b.t_e, b.t_s):
-                return cls(a, b)
-        return cls(b, a)
-
     @property
     def dt(self) -> float:
         return self.later.t_s - self.earlier.t_e
@@ -198,14 +191,6 @@ def candidate_similarity(a: Candidate, b: Candidate, topo: CameraTopology, cfg: 
         sim_v = 1.0  # overlapping views, no transfer gap to rate
     appearance = 1.0 - np.linalg.norm(a.embedding - b.embedding) / 2.0
     return max(0.0, appearance * sim_v)
-
-
-def pairwise_similarity(
-    tr_i: ConcludedTrack, tr_j: ConcludedTrack, topo: CameraTopology, cfg: MctConfig
-) -> float:
-    return candidate_similarity(
-        Candidate.from_track(tr_i), Candidate.from_track(tr_j), topo, cfg
-    )
 
 
 def build_similarity_matrix(tracks, topo: CameraTopology, cfg: MctConfig) -> np.ndarray:

@@ -1,24 +1,28 @@
 """End-to-end orchestration: sources -> per-camera trackers -> supervisor.
 
-Offline mode replays every frame tick by tick: all cameras advance one frame,
-the embedding provider is consulted once per tick, concluded tracks flow to
-the cross-camera supervisor at its tick period, and nothing is ever dropped —
-output is a pure function of the config and identical for any worker count.
+One single-threaded engine runs every mode, stepped by a clock with ``now()``
+and ``sleep_until(t)``.  Frame i of every camera is due at i/fps.  Due frames
+enter a per-camera deque holding QUEUE_SECONDS of frames; when a deque is full
+its oldest frame is dropped and counted.  Each tick pops at most one frame per
+camera into one TickBatch, consults the embedding provider once for the batch
+(it stands in for a shared GPU inference service), steps the trackers, and
+hands concluded tracks to the cross-camera supervisor once the clock passes
+its next deadline, one tick_period apart.  A latency is the processing time of
+one tick, supervisor included, in every mode.
 
-Real-time mode paces each camera at its fps through a bounded queue holding
-two seconds of frames.  When a consumer falls behind, the oldest queued frame
-is dropped so processing stays near live time; drops are reported.  The
-provider is serialized behind a lock in both modes (it stands in for a shared
-GPU inference service).
+Offline runs use a VirtualClock, whose time moves only when the engine waits:
+processing takes no time, so nothing is ever dropped and the output is a pure
+function of the config, identical for any worker count.  Real-time runs
+(``real_time=True``) use a WallClock, so frames arrive at the cameras' pace
+and a backlog beyond a deque's capacity drops the oldest frames.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
-import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +44,7 @@ from .metrics import write_global_trajectories
 from .reid import TemporalScorer, temporal_aggregate
 from .sct import SingleCameraTracker, TrackerParams
 
-QUEUE_SECONDS = 2.0  # bounded-queue capacity in real-time mode
+QUEUE_SECONDS = 2.0  # per-camera queue capacity, in seconds of frames
 
 
 @dataclass
@@ -55,8 +59,6 @@ class PipelineConfig:
     workers: int = 1
     out_dir: str | None = None
     scorer_path: str | None = None  # learned temporal scorer weights (EMB1 x2)
-    provider_delay_s: float = 0.0  # testing hook: slow embedding service
-    stall_timeout_s: float = 5.0  # real-time: stalled source treated as end-of-stream
 
     def __post_init__(self):
         if not 0.0 <= self.alpha_min <= 1.0:
@@ -125,16 +127,28 @@ class PassThroughProvider:
         return [frame.embeddings for frame in batch.frames]
 
 
-class DelayProvider(PassThroughProvider):
-    """Pass-through plus a fixed sleep per request; models a slow GPU service."""
+class VirtualClock:
+    """Stream time that moves only when the engine waits; processing takes none."""
 
-    def __init__(self, delay_s: float):
-        self.delay_s = delay_s
+    def __init__(self):
+        self.t = 0.0
 
-    def __call__(self, batch: TickBatch):
-        if self.delay_s > 0.0:
-            time.sleep(self.delay_s)
-        return super().__call__(batch)
+    def now(self) -> float:
+        return self.t
+
+    def sleep_until(self, t: float) -> None:
+        self.t = max(self.t, t)
+
+
+class WallClock:
+    """The host's monotonic clock; waiting sleeps."""
+
+    def now(self) -> float:
+        return time.perf_counter()
+
+    def sleep_until(self, t: float) -> None:
+        while (delay := t - time.perf_counter()) > 0:
+            time.sleep(delay)
 
 
 def _load_source(cfg: PipelineConfig):
@@ -158,7 +172,10 @@ def _load_source(cfg: PipelineConfig):
 
 def _worker_count(cfg: PipelineConfig, n_cams: int) -> int:
     cap = os.environ.get("MCT_THREADS")
-    limit = int(cap) if cap else cfg.workers
+    try:
+        limit = int(cap) if cap else cfg.workers
+    except ValueError:
+        raise ConfigError(f"MCT_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(cfg.workers, limit, n_cams))
 
 
@@ -189,21 +206,23 @@ def _build_trackers(topo: CameraTopology, fps: float, cfg: PipelineConfig):
     }
 
 
-def run(cfg: PipelineConfig, provider=None) -> RunReport:
+def run(cfg: PipelineConfig, provider=None, clock=None) -> RunReport:
     """Execute the pipeline; returns the report (identities attached).
 
-    When out_dir is set, writes global_tracks.csv, identities.json,
-    report.json, and one sct_<camera>.csv per camera.
+    ``provider`` maps a TickBatch to one embedding array per frame (default:
+    the embeddings the source carries).  ``clock`` paces the run (default: a
+    WallClock when ``cfg.real_time`` is set, else a VirtualClock).  When
+    out_dir is set, writes global_tracks.csv, identities.json, report.json,
+    and one sct_<camera>.csv per camera.
     """
     topo, streams, fps, n_frames = _load_source(cfg)
     if provider is None:
-        provider = DelayProvider(cfg.provider_delay_s) if cfg.provider_delay_s else PassThroughProvider()
+        provider = PassThroughProvider()
+    if clock is None:
+        clock = WallClock() if cfg.real_time else VirtualClock()
     trackers = _build_trackers(topo, fps, cfg)
     started = time.perf_counter()
-    if cfg.real_time:
-        report = _run_real_time(cfg, topo, streams, fps, n_frames, trackers, provider)
-    else:
-        report = _run_offline(cfg, topo, streams, fps, n_frames, trackers, provider)
+    report = _run_engine(cfg, topo, streams, fps, n_frames, trackers, provider, clock)
     report.wall_time_s = time.perf_counter() - started
 
     if cfg.out_dir is not None:
@@ -211,28 +230,42 @@ def run(cfg: PipelineConfig, provider=None) -> RunReport:
     return report
 
 
-def _supervise_loop_state(cfg: PipelineConfig):
-    return MultiCameraStore(), [], []
-
-
-def _run_offline(cfg, topo, streams, fps, n_frames, trackers, provider):
+def _run_engine(cfg, topo, streams, fps, n_frames, trackers, provider, clock):
     cameras = sorted(streams)
     n_workers = _worker_count(cfg, len(cameras))
+    capacity = max(1, int(QUEUE_SECONDS * fps))
+    queues = {cid: deque(maxlen=capacity) for cid in cameras}
+    processed = dict.fromkeys(cameras, 0)
+    dropped = dict.fromkeys(cameras, 0)
+    n_concluded = 0
+    store, pending, finished = MultiCameraStore(), [], []
+    latencies: list[float] = []
     sup_every = max(1, int(round(cfg.mct.tick_period * fps)))
-    store, pending, finished = _supervise_loop_state(cfg)
-    concluded_all: dict[str, list] = {cid: [] for cid in cameras}
-    latencies = []
+    sup_count = 1  # the j-th supervisor deadline is (j * sup_every - 1) / fps
+    released = 0  # frame i of every camera is due at i / fps
+    start = clock.now()
 
-    def step_camera(cid: str, record: FrameRecord):
-        _, concluded = trackers[cid].step(record)
+    def step_camera(record: FrameRecord):
+        _, concluded = trackers[record.camera].step(record)
         return concluded
 
     pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
     try:
-        for frame_idx in range(n_frames):
+        while released < n_frames or any(queues.values()):
+            now = clock.now() - start
+            while released < n_frames and released / fps <= now:
+                for cid in cameras:
+                    if len(queues[cid]) == capacity:
+                        dropped[cid] += 1  # the append evicts the oldest frame
+                    queues[cid].append(streams[cid][released])
+                released += 1
+            if not any(queues.values()):
+                clock.sleep_until(start + released / fps)
+                continue
+
             tick_started = time.perf_counter()
-            prepared = {cid: _prepare(streams[cid][frame_idx], cfg) for cid in cameras}
-            batch = TickBatch(tick=frame_idx, frames=[prepared[cid] for cid in cameras])
+            frames = [_prepare(queues[cid].popleft(), cfg) for cid in cameras if queues[cid]]
+            batch = TickBatch(tick=len(latencies), frames=frames)
             for record, emb in zip(batch.frames, provider(batch)):
                 if record.detections and emb is None:
                     raise SourceMissing(
@@ -240,156 +273,48 @@ def _run_offline(cfg, topo, streams, fps, n_frames, trackers, provider):
                     )
                 record.embeddings = emb
             if pool is not None:
-                results = list(pool.map(step_camera, cameras, batch.frames))
+                results = list(pool.map(step_camera, batch.frames))
             else:
-                results = [step_camera(cid, rec) for cid, rec in zip(cameras, batch.frames)]
-            for cid, concluded in zip(cameras, results):
-                concluded_all[cid].extend(concluded)
+                results = [step_camera(record) for record in batch.frames]
+            for record, concluded in zip(batch.frames, results):
+                processed[record.camera] += 1
+                n_concluded += len(concluded)
                 pending.extend(concluded)
-            if (frame_idx + 1) % sup_every == 0:
-                now = frame_idx / fps
+            now = clock.now() - start
+            if now >= (sup_count * sup_every - 1) / fps:
                 _, flushed = supervisor_tick(store, pending, now, topo, cfg.mct)
                 pending = []
                 finished.extend(flushed)
+                while (sup_count * sup_every - 1) / fps <= now:
+                    sup_count += 1
             latencies.append(time.perf_counter() - tick_started)
     finally:
         if pool is not None:
             pool.shutdown()
 
+    # The stream ends one frame period after its last frame is due.
+    clock.sleep_until(start + n_frames / fps)
     for cid in cameras:
         tail = trackers[cid].finish()
-        concluded_all[cid].extend(tail)
+        n_concluded += len(tail)
         pending.extend(tail)
-    _, flushed = supervisor_tick(store, pending, n_frames / fps, topo, cfg.mct)
+    _, flushed = supervisor_tick(store, pending, clock.now() - start, topo, cfg.mct)
     finished.extend(flushed)
     finished.extend(store.drain())
 
-    return _make_report(
-        frames={cid: n_frames for cid in cameras},
-        dropped={cid: 0 for cid in cameras},
-        concluded_all=concluded_all,
-        finished=finished,
-        latencies=latencies,
-        real_time=False,
-    )
-
-
-def _run_real_time(cfg, topo, streams, fps, n_frames, trackers, provider):
-    cameras = sorted(streams)
-    capacity = max(1, int(QUEUE_SECONDS * fps))
-    queues = {cid: queue.Queue(maxsize=capacity) for cid in cameras}
-    dropped = {cid: 0 for cid in cameras}
-    processed = {cid: 0 for cid in cameras}
-    concluded_all: dict[str, list] = {cid: [] for cid in cameras}
-    pending: list = []
-    pending_lock = threading.Lock()
-    provider_lock = threading.Lock()
-    latencies: list[float] = []
-    latency_lock = threading.Lock()
-    start = time.perf_counter()
-
-    def produce(cid: str):
-        q = queues[cid]
-        for record in streams[cid]:
-            due = start + record.frame_index / fps
-            delay = due - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            while True:
-                try:
-                    q.put_nowait(record)
-                    break
-                except queue.Full:
-                    try:
-                        q.get_nowait()  # drop the oldest frame, stay near live
-                        dropped[cid] += 1
-                    except queue.Empty:
-                        pass
-        while True:  # end-of-stream marker, same drop-oldest discipline
-            try:
-                q.put_nowait(None)
-                break
-            except queue.Full:
-                try:
-                    q.get_nowait()
-                    dropped[cid] += 1
-                except queue.Empty:
-                    pass
-
-    def consume(cid: str):
-        tracker = trackers[cid]
-        q = queues[cid]
-        while True:
-            try:
-                record = q.get(timeout=cfg.stall_timeout_s)
-            except queue.Empty:
-                break  # stalled source: treat as end of stream
-            if record is None:
-                break
-            t0 = time.perf_counter()
-            prepared = _prepare(record, cfg)
-            with provider_lock:
-                embs = provider(TickBatch(tick=record.frame_index, frames=[prepared]))
-            prepared.embeddings = embs[0]
-            _, concluded = tracker.step(prepared)
-            processed[cid] += 1
-            if concluded:
-                with pending_lock:
-                    pending.extend(concluded)
-            concluded_all[cid].extend(concluded)
-            with latency_lock:
-                latencies.append(time.perf_counter() - t0)
-
-    producers = [threading.Thread(target=produce, args=(cid,), daemon=True) for cid in cameras]
-    consumers = [threading.Thread(target=consume, args=(cid,), daemon=True) for cid in cameras]
-    for t in producers + consumers:
-        t.start()
-
-    store, _, finished = _supervise_loop_state(cfg)
-    while any(t.is_alive() for t in consumers):
-        time.sleep(cfg.mct.tick_period)
-        with pending_lock:
-            batch, pending = pending, []
-        now = time.perf_counter() - start
-        _, flushed = supervisor_tick(store, batch, now, topo, cfg.mct)
-        finished.extend(flushed)
-    for t in producers + consumers:
-        t.join()
-
-    for cid in cameras:
-        tail = trackers[cid].finish()
-        concluded_all[cid].extend(tail)
-        pending.extend(tail)
-    with pending_lock:
-        batch = pending + []
-    _, flushed = supervisor_tick(store, batch, time.perf_counter() - start, topo, cfg.mct)
-    finished.extend(flushed)
-    finished.extend(store.drain())
-
-    return _make_report(
-        frames=processed,
-        dropped=dropped,
-        concluded_all=concluded_all,
-        finished=finished,
-        latencies=latencies,
-        real_time=True,
-    )
-
-
-def _make_report(frames, dropped, concluded_all, finished, latencies, real_time):
     lat = np.asarray(latencies) if latencies else np.zeros(1)
     return RunReport(
-        frames=frames,
+        frames=processed,
         dropped=dropped,
-        n_concluded=sum(len(v) for v in concluded_all.values()),
+        n_concluded=n_concluded,
         n_identities=len(finished),
         wall_time_s=0.0,
         latency_p50_ms=float(np.percentile(lat, 50) * 1e3),
         latency_p99_ms=float(np.percentile(lat, 99) * 1e3),
         latency_max_ms=float(np.max(lat) * 1e3),
-        real_time=real_time,
+        real_time=cfg.real_time,
         identities=finished,
-        latencies_s=list(latencies),
+        latencies_s=latencies,
     )
 
 

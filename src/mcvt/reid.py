@@ -122,15 +122,6 @@ def temporal_aggregate(rows, scorer: TemporalScorer | None = None) -> np.ndarray
     return l2_normalize(weights @ rows)
 
 
-def average_embeddings(a, b) -> np.ndarray:
-    """Mean of two unit embeddings, re-normalized (e.g. original + flipped view)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("embedding dimensions differ")
-    return l2_normalize((a + b) / 2.0)
-
-
 def mitigate_camera_bias(
     tracks: Sequence[tuple[str, np.ndarray]], lam: float
 ) -> list[np.ndarray]:

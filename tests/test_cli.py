@@ -7,6 +7,7 @@ import pytest
 
 from mcvt.cli import main
 from mcvt.reid import write_embeddings
+from mcvt.simkit import NoiseProfile, gen_scenario, render_detections, write_scenario_dir
 
 
 def last_json_line(capsys):
@@ -56,6 +57,18 @@ class TestWorkflow:
         assert report["frames"] == {"c001": 100, "c002": 100}
 
 
+def error_lines(capsys):
+    return capsys.readouterr().err.splitlines()
+
+
+@pytest.fixture()
+def small_scenario(tmp_path):
+    scenario, gt = gen_scenario(3, 2, 2, 2.0)
+    write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
+                       tmp_path / "scn")
+    return tmp_path / "scn"
+
+
 class TestRunErrors:
     def test_needs_a_source(self):
         assert main(["run"]) == 2
@@ -73,6 +86,20 @@ class TestRunErrors:
 
     def test_missing_scenario_dir(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "void")]) == 2
+
+    def test_non_integer_thread_cap(self, small_scenario, monkeypatch, capsys):
+        monkeypatch.setenv("MCT_THREADS", "abc")
+        assert main(["run", "--scenario", str(small_scenario), "--workers", "2"]) == 2
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "MCT_THREADS" in line
+
+    def test_malformed_detection_row(self, small_scenario, capsys):
+        with open(small_scenario / "det_c001.csv", "a") as fh:
+            fh.write("5,1,1.0\n")
+        # An input file that does not parse is a runtime failure.
+        assert main(["run", "--scenario", str(small_scenario)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "det_c001.csv, line" in line
 
 
 class TestGenScenarioErrors:

@@ -179,7 +179,7 @@ def test_topology_relations():
     with pytest.raises(UnknownCamera):
         are_adjacent(topo, "a", "zzz")
     with pytest.raises(UnknownCamera):
-        topo.camera("zzz")
+        are_adjacent(topo, "zzz", "a")
 
 
 def test_topology_overlap_must_be_subset_of_adjacency():
@@ -207,8 +207,8 @@ def test_topology_json_roundtrip(tmp_path):
     assert set(loaded.cameras) == {"c001", "c002"}
     assert are_adjacent(loaded, "c001", "c002")
     assert are_overlapping(loaded, "c001", "c002")
-    assert loaded.camera("c001").position == GeoPoint(1.0, 2.0)
-    assert np.array_equal(loaded.camera("c002").homography.m, np.eye(3))
+    assert loaded.cameras["c001"].position == GeoPoint(1.0, 2.0)
+    assert np.array_equal(loaded.cameras["c002"].homography.m, np.eye(3))
 
 
 def test_load_topology_from_point_pairs(tmp_path):
@@ -231,7 +231,7 @@ def test_load_topology_from_point_pairs(tmp_path):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(spec))
     topo = load_topology(path)
-    cam = topo.camera("cam1")
+    cam = topo.cameras["cam1"]
     assert cam.fps == 12.5
     g = pixel_to_geo(cam.homography, PixelPoint(50, 50))
     assert g.lon == pytest.approx(5e-4, abs=1e-9)

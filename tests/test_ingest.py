@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from mcvt.errors import DuplicateCamera
+from mcvt.errors import MalformedInput
 from mcvt.ingest import (
     Detection,
     FrameRecord,
     VehicleClass,
-    batch_frames,
-    filter_confidence,
     filter_confidence_indices,
     iou,
-    nms,
     nms_indices,
     read_detection_csv,
     write_detection_csv,
@@ -52,9 +49,9 @@ def test_iou_cases():
 
 def test_filter_confidence_keeps_order():
     dets = [box(0, 0, 1, 1, a) for a in (0.9, 0.1, 0.5, 0.3)]
-    kept = filter_confidence(dets, 0.3)
-    assert [d.alpha for d in kept] == [0.9, 0.5, 0.3]
-    assert filter_confidence_indices(dets, 0.3) == [0, 2, 3]
+    kept = filter_confidence_indices(dets, 0.3)
+    assert kept == [0, 2, 3]
+    assert [dets[i].alpha for i in kept] == [0.9, 0.5, 0.3]
 
 
 def test_nms_suppresses_overlaps():
@@ -64,7 +61,6 @@ def test_nms_suppresses_overlaps():
         box(50, 50, 60, 60, 0.7),
     ]
     assert nms_indices(dets, 0.5) == [0, 2]
-    assert nms(dets, 0.5) == [dets[0], dets[2]]
     # Threshold above their iou keeps everything.
     assert nms_indices(dets, 0.95) == [0, 1, 2]
 
@@ -86,18 +82,6 @@ def test_frame_record_embedding_alignment():
         FrameRecord("c1", 0, 0.0, dets, np.eye(3, 4))
     with pytest.raises(ValueError):
         FrameRecord("c1", -1, 0.0, dets)
-
-
-def test_batch_frames_sorted_and_unique():
-    frames = [
-        FrameRecord("b", 4, 0.4),
-        FrameRecord("a", 4, 0.4),
-    ]
-    batch = batch_frames(frames, tick=4)
-    assert [fr.camera for fr in batch.frames] == ["a", "b"]
-    assert batch.tick == 4
-    with pytest.raises(DuplicateCamera):
-        batch_frames(frames + [FrameRecord("a", 5, 0.5)], tick=4)
 
 
 def test_detection_csv_roundtrip(tmp_path):
@@ -124,3 +108,16 @@ def test_detection_csv_skips_comments_and_blank(tmp_path):
     loaded = read_detection_csv(path)
     assert list(loaded) == [0]
     assert loaded[0][0].alpha == 0.5
+
+
+@pytest.mark.parametrize("line", [
+    "5,1,1.0",  # too few fields
+    "5,-1,1,2,three,4,0.5,1",  # a value that is not a number
+    "x,-1,1,2,3,4,0.5,1",  # a frame index that is not an integer
+    "5,-1,1,2,0,4,0.5,1",  # a degenerate box
+])
+def test_detection_csv_malformed_row_names_file_and_line(tmp_path, line):
+    path = tmp_path / "det.csv"
+    path.write_text("0,-1,1,2,3,4,0.5,1\n# note\n" + line + "\n")
+    with pytest.raises(MalformedInput, match=r"det\.csv, line 3: bad detection row"):
+        read_detection_csv(path)

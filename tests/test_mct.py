@@ -25,7 +25,6 @@ from mcvt.mct import (
     direction_consistent,
     hierarchical_cluster,
     identities_to_trajectories,
-    pairwise_similarity,
     speed_similarity,
     summarize_identities,
     supervisor_tick,
@@ -73,6 +72,7 @@ def corridor_topology(overlap=()):
 
 TOPO = corridor_topology()
 CFG = MctConfig()
+cand = Candidate.from_track
 
 
 class Endpoints:
@@ -141,49 +141,49 @@ class TestCandidateSimilarity:
     def test_same_camera_is_zero(self):
         a = ct("A", 1, 0, 6, 0, 60)
         b = ct("A", 2, 15, 21, 0, 60)
-        assert pairwise_similarity(a, b, TOPO, CFG) == 0.0
+        assert candidate_similarity(cand(a), cand(b), TOPO, CFG) == 0.0
 
     def test_matching_pair_scores_speed_prior(self):
         a = ct("A", 1, 0, 6, 0, 60)
         b = ct("B", 1, 15, 21, 150, 210)  # 90 m in 9 s -> v = 10
-        sim = pairwise_similarity(a, b, TOPO, CFG)
+        sim = candidate_similarity(cand(a), cand(b), TOPO, CFG)
         assert sim == pytest.approx(0.75, abs=1e-9)
         # Argument order must not matter.
-        assert pairwise_similarity(b, a, TOPO, CFG) == sim
+        assert candidate_similarity(cand(b), cand(a), TOPO, CFG) == sim
 
     def test_appearance_scales_similarity(self):
         a = ct("A", 1, 0, 6, 0, 60, emb=E1)
         b = ct("B", 1, 15, 21, 150, 210, emb=E2)
         # Orthogonal unit embeddings: appearance = 1 - sqrt(2)/2.
         expected = (1.0 - math.sqrt(2) / 2.0) * 0.75
-        assert pairwise_similarity(a, b, TOPO, CFG) == pytest.approx(expected, abs=1e-9)
+        assert candidate_similarity(cand(a), cand(b), TOPO, CFG) == pytest.approx(expected, abs=1e-9)
 
     def test_temporal_overlap_rejected_without_view_overlap(self):
         a = ct("A", 1, 0, 6, 0, 60)
         b = ct("B", 1, 3, 9, 150, 210)
-        assert pairwise_similarity(a, b, TOPO, CFG) == 0.0
+        assert candidate_similarity(cand(a), cand(b), TOPO, CFG) == 0.0
 
     def test_temporal_overlap_allowed_with_view_overlap(self):
         topo = corridor_topology(overlap=[("A", "B")])
         a = ct("A", 1, 0, 6, 0, 60)
         b = ct("B", 1, 3, 9, 150, 210)
         # Shared field of view: no transfer gap to rate, appearance decides.
-        assert pairwise_similarity(a, b, topo, CFG) == pytest.approx(1.0)
+        assert candidate_similarity(cand(a), cand(b), topo, CFG) == pytest.approx(1.0)
 
     def test_adjacency_rule_toggles(self):
         a = ct("A", 1, 0, 6, 0, 60)
         c = ct("C", 1, 26, 32, 300, 360)  # 240 m in 20 s -> v = 12
-        assert pairwise_similarity(a, c, TOPO, CFG) == 0.0
+        assert candidate_similarity(cand(a), cand(c), TOPO, CFG) == 0.0
         relaxed = MctConfig(use_adjacency=False)
-        sim = pairwise_similarity(a, c, TOPO, relaxed)
+        sim = candidate_similarity(cand(a), cand(c), TOPO, relaxed)
         assert sim == pytest.approx(4 * 12 * 28 / 1600, abs=1e-9)
 
     def test_direction_rule_toggles(self):
         a = ct("A", 1, 0, 6, 0, 60)
         b = ct("B", 1, 15, 21, 210, 150)  # oncoming
-        assert pairwise_similarity(a, b, TOPO, CFG) == 0.0
+        assert candidate_similarity(cand(a), cand(b), TOPO, CFG) == 0.0
         relaxed = MctConfig(use_direction=False)
-        assert pairwise_similarity(a, b, TOPO, relaxed) > 0.0
+        assert candidate_similarity(cand(a), cand(b), TOPO, relaxed) > 0.0
 
     def test_similarity_matrix_properties(self):
         tracks = [

@@ -8,9 +8,11 @@ import pytest
 from mcvt.errors import ConfigError, SourceMissing
 from mcvt.metrics import evaluate_identity, load_global_trajectories
 from mcvt.pipeline import (
+    QUEUE_SECONDS,
     PassThroughProvider,
     PipelineConfig,
     RunReport,
+    VirtualClock,
     _worker_count,
     run,
 )
@@ -106,6 +108,9 @@ class TestConfig:
         assert _worker_count(cfg, n_cams=4) == 2
         monkeypatch.setenv("MCT_THREADS", "16")
         assert _worker_count(cfg, n_cams=16) == 8  # env can only lower it
+        monkeypatch.setenv("MCT_THREADS", "abc")
+        with pytest.raises(ConfigError, match="MCT_THREADS"):
+            _worker_count(cfg, n_cams=4)
 
 
 class TestOffline:
@@ -211,33 +216,59 @@ class TestOffline:
 
 
 class TestRealTime:
-    def test_paced_run_keeps_up(self, tmp_path):
-        outdir = tmp_path / "scn"
-        scenario, gt = gen_scenario(31, 2, 3, 5.0)
-        streams = render_detections(scenario, gt, NoiseProfile())
-        write_scenario_dir(scenario, gt, streams, outdir)
-        cfg = PipelineConfig(scenario_dir=str(outdir), real_time=True,
-                             stall_timeout_s=2.0)
-        report = run(cfg)
-        assert report.real_time is True
-        assert report.frames == {"c001": 50, "c002": 50}
-        assert report.dropped == {"c001": 0, "c002": 0}
-        # frames are released on the wall clock, so the run spans the clip
-        assert report.wall_time_s >= 4.5
-        assert report.wall_time_s < 15.0
-        assert report.latency_p99_ms > 0.0
+    def test_virtual_clock_matches_offline(self, noisy_dir, tmp_path):
+        blobs = []
+        for real_time in (False, True):
+            out = tmp_path / f"rt{int(real_time)}"
+            cfg = PipelineConfig(scenario_dir=str(noisy_dir), out_dir=str(out),
+                                 real_time=real_time, workers=2)
+            report = run(cfg, clock=VirtualClock())
+            assert report.real_time is real_time
+            assert report.dropped == {"c001": 0, "c002": 0}
+            assert len(report.latencies_s) == 300  # one per tick
+            blobs.append({
+                path.name: path.read_bytes()
+                for path in sorted(out.iterdir()) if path.name != "report.json"
+            })
+        assert blobs[0] == blobs[1]
 
-    def test_overloaded_run_drops_frames(self, tmp_path):
-        outdir = tmp_path / "scn"
-        scenario, gt = gen_scenario(32, 2, 3, 5.0)
-        streams = render_detections(scenario, gt, NoiseProfile())
-        write_scenario_dir(scenario, gt, streams, outdir)
-        # 20 fps arrival against a ~10 req/s serialized provider: the bounded
-        # queues overflow and the producers shed the oldest frames.
-        cfg = PipelineConfig(scenario_dir=str(outdir), real_time=True,
-                             provider_delay_s=0.1, stall_timeout_s=2.0)
-        report = run(cfg)
+    def test_overloaded_run_drops_frames(self, scenario_dir):
+        clock = VirtualClock()
+        seen = []
+
+        class SlowProvider(PassThroughProvider):
+            """Takes 0.25 s of virtual time per batch against 0.1 s frames."""
+
+            def __call__(self, batch):
+                seen.append([record.frame_index for record in batch.frames])
+                clock.sleep_until(clock.now() + 0.25)
+                return super().__call__(batch)
+
+        cfg = PipelineConfig(scenario_dir=str(scenario_dir), real_time=True)
+        report = run(cfg, provider=SlowProvider(), clock=clock)
         assert sum(report.dropped.values()) > 0
         for cid in ("c001", "c002"):
-            assert report.frames[cid] + report.dropped[cid] == 50
-        assert len(report.latencies_s) == sum(report.frames.values())
+            assert report.frames[cid] + report.dropped[cid] == 300
+        assert len(report.latencies_s) == len(seen) == report.frames["c001"]
+        # Every batch holds both cameras at one frame index; indices only
+        # grow, and the newest frames survive: the last QUEUE_SECONDS of the
+        # clip are all processed.
+        indices = [frames[0] for frames in seen]
+        assert all(frames == [i, i] for frames, i in zip(seen, indices))
+        assert indices == sorted(set(indices))
+        kept = int(QUEUE_SECONDS * 10)
+        assert indices[-kept:] == list(range(300 - kept, 300))
+
+    def test_paced_run_keeps_up(self, tmp_path):
+        outdir = tmp_path / "scn"
+        scenario, gt = gen_scenario(31, 2, 3, 1.0)
+        streams = render_detections(scenario, gt, NoiseProfile())
+        write_scenario_dir(scenario, gt, streams, outdir)
+        report = run(PipelineConfig(scenario_dir=str(outdir), real_time=True))
+        assert report.real_time is True
+        assert report.frames == {"c001": 10, "c002": 10}
+        assert report.dropped == {"c001": 0, "c002": 0}
+        # frames are released on the wall clock, so the run spans the clip
+        assert report.wall_time_s >= 1.0
+        assert report.wall_time_s < 5.0
+        assert report.latency_p99_ms > 0.0

@@ -15,7 +15,6 @@ from mcvt.reid import (
     CONV_HIDDEN,
     CONV_KERNEL,
     TemporalScorer,
-    average_embeddings,
     eval_track_reid,
     k_reciprocal_rerank,
     l2_normalize,
@@ -113,13 +112,6 @@ def test_scorer_save_load_roundtrip(tmp_path):
     assert np.array_equal(loaded.conv2, conv2.astype("<f4").astype(float))
     with pytest.raises(ValueError):
         TemporalScorer().save(tmp_path / "nope.bin")
-
-
-def test_average_embeddings():
-    out = average_embeddings([1.0, 0.0], [0.0, 1.0])
-    assert np.allclose(out, [np.sqrt(0.5), np.sqrt(0.5)])
-    with pytest.raises(ValueError):
-        average_embeddings([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def test_mitigate_camera_bias_hand_value():

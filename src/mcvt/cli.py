@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import losses, metrics, pipeline, reid, simkit
-from .errors import ConfigError, InvalidLayout, McvtError, SourceMissing
+from .errors import ConfigError, InvalidLayout, MalformedInput, McvtError, SourceMissing
 
 
 def _print_table(pairs) -> None:
@@ -141,14 +141,22 @@ def _print_summary(summary: metrics.MotSummary) -> None:
 
 
 def _read_labels(path):
+    """(identity, camera) rows of a label file; a bad row raises MalformedInput."""
     labels = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            identity, camera = line.split(",")[:2]
-            labels.append((int(identity), camera))
+            fields = line.split(",")
+            try:
+                if len(fields) < 2:
+                    raise ValueError("expected identity,camera")
+                labels.append((int(fields[0]), fields[1]))
+            except ValueError as exc:
+                raise MalformedInput(
+                    f"{path}, line {lineno}: bad label row {line!r} ({exc})"
+                ) from None
     return labels
 
 

@@ -115,6 +115,23 @@ def iou(a: Detection, b: Detection) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of (T, 4) against (N, 4) corner boxes: (T, N).
+
+    Same float operations in the same order as ``iou``, so every entry equals
+    ``iou`` of the pair exactly.
+    """
+    a = np.asarray(a, dtype=float)[:, None, :]
+    b = np.asarray(b, dtype=float)[None, :, :]
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    overlap = (ix > 0.0) & (iy > 0.0)
+    inter = ix * iy
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return np.divide(inter, area_a + area_b - inter, out=np.zeros(inter.shape), where=overlap)
+
+
 def nms_indices(dets: list[Detection], iou_thresh: float) -> list[int]:
     """Greedy class-agnostic NMS; returns indices of kept boxes.
 

@@ -160,10 +160,41 @@ def squared_mahalanobis(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> flo
     return float(z @ z)
 
 
-def gating_distance(s: KalmanState, obs: Observation) -> float:
-    """Squared Mahalanobis distance of the observation against the projected state.
+def gating_matrix(states, measurements: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of N measurements against T projected states.
 
-    The association gate passes iff the value is <= GATING_THRESHOLD.
+    ``measurements`` is an (N, 4) array of (u, v, r, h) rows.  The T states are
+    projected together, factorised by one Cholesky over the (T, 4, 4) stack and
+    solved against all (T, 4, N) innovations at once; entry [t, n] is the
+    distance of measurement n from state t, as ``project`` followed by
+    ``squared_mahalanobis`` gives it for one pair.
     """
-    proj_mean, proj_cov = project(s)
-    return squared_mahalanobis(proj_mean, proj_cov, obs.as_vector())
+    means = np.stack([s.mean[:4] for s in states])
+    covs = np.stack([s.cov[:4, :4] for s in states])
+    std = np.repeat(_STD_WEIGHT_POSITION * means[:, 3:4], 4, axis=1)  # _measurement_noise
+    std[:, 2] = _STD_ASPECT
+    idx = np.arange(4)
+    covs[:, idx, idx] += np.square(std)
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovation(str(exc)) from exc
+    innovations = np.asarray(measurements, dtype=float).T[None, :, :] - means[:, :, None]
+    z = np.linalg.solve(chol, innovations)
+    return np.sum(z * z, axis=1)
+
+
+def box_observations(boxes: np.ndarray) -> np.ndarray:
+    """Row-wise ``to_observation`` of (N, 4) corner boxes: (N, 4) (u, v, r, h)."""
+    x1, y1, x2, y2 = np.asarray(boxes, dtype=float).T
+    return np.stack([(x1 + x2) / 2.0, y2, (x2 - x1) / (y2 - y1), y2 - y1], axis=1)
+
+
+def gating_distance(s: KalmanState, obs: Observation) -> float:
+    """Squared Mahalanobis distance of one observation against the projected state.
+
+    The one-pair form of ``gating_matrix``; the tracker gates a whole camera
+    frame with one ``gating_matrix`` call instead.  The association gate
+    passes iff the value is <= GATING_THRESHOLD.
+    """
+    return float(gating_matrix([s], obs.as_vector()[None])[0, 0])

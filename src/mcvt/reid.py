@@ -11,6 +11,7 @@ and scorer weights between tools.
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import BinaryIO, Sequence
 
@@ -19,6 +20,7 @@ from scipy.special import softmax
 
 from .errors import (
     InsufficientGallery,
+    MalformedInput,
     NoValidGallery,
     ZeroVector,
 )
@@ -276,9 +278,15 @@ def read_embedding_block(fh: BinaryIO) -> np.ndarray:
     magic, dim, count = _HEADER.unpack(header)
     if magic != EMB_MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {EMB_MAGIC!r}")
-    payload = fh.read(4 * dim * count)
-    if len(payload) != 4 * dim * count:
+    size = 4 * dim * count
+    # Check the header's claim against the bytes left before reading, so a
+    # huge row count cannot ask read() for more memory than the file holds.
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    if size > left:
         raise ValueError("truncated embedding payload")
+    payload = fh.read(size)
     return np.frombuffer(payload, dtype="<f4").reshape(count, dim).astype(float)
 
 
@@ -289,5 +297,10 @@ def write_embeddings(path, rows: np.ndarray) -> None:
 
 
 def read_embeddings(path) -> np.ndarray:
+    """Read one EMB1 block from a file; a block that does not parse raises
+    MalformedInput naming the file."""
     with open(path, "rb") as fh:
-        return read_embedding_block(fh)
+        try:
+            return read_embedding_block(fh)
+        except ValueError as exc:
+            raise MalformedInput(f"{path}: {exc}") from None

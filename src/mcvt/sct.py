@@ -4,6 +4,12 @@ A DeepSORT-style tracker over the bottom-center state space of
 :mod:`mcvt.kalman`.  Confirmed tracks are matched through an appearance
 cascade (recent-feature gallery, Mahalanobis gating, Hungarian assignment per
 miss-age group); leftovers and tentative tracks fall through to IoU matching.
+Each camera frame is scored in one batched pass rather than per (track,
+detection) pair: one appearance matrix over the concatenated galleries of all
+confirmed tracks, one gating matrix from a stacked Cholesky
+(:func:`mcvt.kalman.gating_matrix`) and one IoU matrix; every cascade group
+slices its rows and the still-free detection columns out of the frame's
+matrix, which gives the same entries as scoring the group on its own.
 Tracks that stay unmatched longer than ``max_age`` frames are concluded and
 summarized into a single embedding plus start/end time-location metadata for
 the multi-camera stage.
@@ -21,7 +27,7 @@ from scipy.optimize import linear_sum_assignment
 from . import kalman
 from .errors import EmptyGallery, OutOfOrderFrame
 from .geo import GeoPoint, Homography, pixel_to_geo
-from .ingest import Detection, FrameRecord, VehicleClass, iou
+from .ingest import Detection, FrameRecord, VehicleClass, iou_matrix
 from .kalman import KalmanState, observation_to_box, to_observation
 from .reid import l2_normalize, temporal_aggregate
 
@@ -78,16 +84,28 @@ class ConcludedTrack:
     boxes: list[tuple[int, Detection]]
 
 
-def appearance_cost(gallery, embedding: np.ndarray) -> float:
-    """Smallest cosine-based cost against the gallery: min(1 - <g, e>).
+def appearance_matrix(galleries, embeddings: np.ndarray) -> np.ndarray:
+    """Appearance cost of N embeddings against T galleries: (T, N).
 
-    For unit vectors this equals min ||g - e||^2 / 2; candidates match when
-    the cost is at most the 0.3 matching threshold.
+    Entry [t, n] is min over gallery t of (1 - <g, e_n>), from one product of
+    the concatenated galleries with the (N, D) embeddings.  For unit vectors
+    this equals min ||g - e||^2 / 2; candidates match when the cost is at most
+    the 0.3 matching threshold.
     """
-    if len(gallery) == 0:
+    sizes = [len(g) for g in galleries]
+    if 0 in sizes:
         raise EmptyGallery("appearance cost needs a non-empty gallery")
-    g = np.asarray(gallery)
-    return float(np.min(1.0 - g @ np.asarray(embedding)))
+    stacked = np.array([g for gallery in galleries for g in gallery], dtype=float)
+    offsets = np.cumsum([0] + sizes[:-1])
+    return np.minimum.reduceat(1.0 - stacked @ np.asarray(embeddings).T, offsets, axis=0)
+
+
+def appearance_cost(gallery, embedding: np.ndarray) -> float:
+    """Smallest cosine-based cost of one embedding against one gallery.
+
+    The one-pair form of ``appearance_matrix``.
+    """
+    return float(appearance_matrix([gallery], np.asarray(embedding)[None])[0, 0])
 
 
 def _min_cost_matching(cost: np.ndarray, max_cost: float):
@@ -118,7 +136,10 @@ def associate(
     Stage 1 runs the matching cascade over confirmed tracks grouped by
     ascending time_since_update: appearance cost with Mahalanobis gating,
     Hungarian per group.  Stage 2 matches all remaining tracks (tentative
-    included) to remaining detections by IoU cost.  Returns
+    included) to remaining detections by IoU cost.  Each stage builds its
+    cost matrix once per frame (one ``appearance_matrix``, one
+    ``kalman.gating_matrix``, one ``iou_matrix``); the cascade groups slice
+    their rows and the still-free columns out of it.  Returns
     (matches, unmatched_track_indices, unmatched_detection_indices) with
     matches as (track_index, detection_index) pairs.
     """
@@ -129,44 +150,39 @@ def associate(
 
     confirmed = [i for i, t in enumerate(tracks) if t.status is TrackStatus.CONFIRMED]
     others = [i for i, t in enumerate(tracks) if t.status is not TrackStatus.CONFIRMED]
+    boxes = np.array([(d.x1, d.y1, d.x2, d.y2) for d in frame.detections]).reshape(n_det, 4)
 
     matches: list[tuple[int, int]] = []
     free_dets = list(range(n_det))
 
     # Stage 1: appearance cascade, youngest miss-age first.
-    for age in sorted({tracks[i].time_since_update for i in confirmed}):
-        if not free_dets:
-            break
-        group = [i for i in confirmed if tracks[i].time_since_update == age]
-        cost = np.zeros((len(group), len(free_dets)))
-        for gi, ti in enumerate(group):
-            track = tracks[ti]
-            for dj, di in enumerate(free_dets):
-                c = appearance_cost(track.gallery, frame.embeddings[di])
-                if kalman.gating_distance(track.state, to_observation(frame.detections[di])) > params.gating_threshold:
-                    c = _INFEASIBLE
-                cost[gi, dj] = c
-        got, _, _ = _min_cost_matching(cost, params.matching_threshold)
-        for gi, dj in got:
-            matches.append((group[gi], free_dets[dj]))
-        taken = {free_dets[dj] for _, dj in got}
-        free_dets = [d for d in free_dets if d not in taken]
+    if confirmed and n_det:
+        cost = appearance_matrix([tracks[i].gallery for i in confirmed], frame.embeddings)
+        gate = kalman.gating_matrix(
+            [tracks[i].state for i in confirmed], kalman.box_observations(boxes)
+        )
+        cost[gate > params.gating_threshold] = _INFEASIBLE
+        ages = np.array([tracks[i].time_since_update for i in confirmed])
+        for age in np.unique(ages):
+            if not free_dets:
+                break
+            group = np.flatnonzero(ages == age)
+            got, _, _ = _min_cost_matching(
+                cost[np.ix_(group, free_dets)], params.matching_threshold
+            )
+            matches.extend((confirmed[group[gi]], free_dets[dj]) for gi, dj in got)
+            taken = {free_dets[dj] for _, dj in got}
+            free_dets = [d for d in free_dets if d not in taken]
 
     # Stage 2: IoU assignment for everything left, tentative tracks included.
     matched_tracks = {t for t, _ in matches}
     remaining = [i for i in confirmed if i not in matched_tracks] + others
     if remaining and free_dets:
-        cost = np.ones((len(remaining), len(free_dets)))
-        for ri, ti in enumerate(remaining):
-            x1, y1, x2, y2 = tracks[ti].predicted_box()
-            if x2 <= x1 or y2 <= y1:
-                continue
-            pred = Detection(x1, y1, x2, y2, alpha=1.0)
-            for dj, di in enumerate(free_dets):
-                cost[ri, dj] = 1.0 - iou(pred, frame.detections[di])
+        # A predicted box with x2 <= x1 or y2 <= y1 overlaps nothing: cost 1.0.
+        predicted = np.array([tracks[i].predicted_box() for i in remaining])
+        cost = 1.0 - iou_matrix(predicted, boxes[free_dets])
         got, _, _ = _min_cost_matching(cost, params.iou_max_cost)
-        for ri, dj in got:
-            matches.append((remaining[ri], free_dets[dj]))
+        matches.extend((remaining[ri], free_dets[dj]) for ri, dj in got)
         taken = {free_dets[dj] for _, dj in got}
         free_dets = [d for d in free_dets if d not in taken]
 
@@ -237,10 +253,11 @@ class SingleCameraTracker:
         for ti, di in matches:
             self._update_track(self.tracks[ti], frame, di)
 
+        matched = {t for t, _ in matches}
         concluded: list[ConcludedTrack] = []
         survivors: list[SCTrack] = []
         for i, track in enumerate(self.tracks):
-            if i in {t for t, _ in matches}:
+            if i in matched:
                 survivors.append(track)
                 continue
             if track.status is TrackStatus.TENTATIVE:

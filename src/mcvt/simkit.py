@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidLayout, UnknownIdentity
+from .errors import InvalidLayout, MalformedInput, UnknownIdentity
 from .geo import (
     CameraInfo,
     GeoPoint,
@@ -35,7 +35,7 @@ from .geo import (
     topology_to_dict,
 )
 from .ingest import Detection, FrameRecord, VehicleClass, write_detection_csv
-from .reid import read_embedding_block, write_embedding_block
+from .reid import read_embeddings, write_embedding_block
 
 METERS_PER_DEGREE = math.pi * 6_371_000.0 / 180.0  # meridian degree, ~111194.93 m
 
@@ -542,16 +542,32 @@ def write_scenario_dir(
 
 
 def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
-    """Read a written scenario directory back into streams (float32 embeddings)."""
+    """Read a written scenario directory back into streams (float32 embeddings).
+
+    A scenario.json that does not describe a scenario, an embedding file that
+    does not parse and an embedding file whose row count differs from its
+    detection file all raise MalformedInput naming the file.
+    """
     outdir = Path(outdir)
-    scenario = _scenario_from_dict(json.loads((outdir / "scenario.json").read_text()))
+    meta = outdir / "scenario.json"
+    try:
+        scenario = _scenario_from_dict(json.loads(meta.read_text()))
+    except KeyError as exc:
+        raise MalformedInput(f"{meta}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{meta}: {exc}") from None
     from .ingest import read_detection_csv
 
     streams: dict[str, list[FrameRecord]] = {}
     for cid in scenario.camera_ids:
         frames = read_detection_csv(outdir / f"det_{cid}.csv")
-        with open(outdir / f"emb_{cid}.bin", "rb") as fh:
-            emb = read_embedding_block(fh)
+        emb_path = outdir / f"emb_{cid}.bin"
+        emb = read_embeddings(emb_path)
+        n_dets = sum(len(frames.get(frame, [])) for frame in range(scenario.n_frames))
+        if n_dets != emb.shape[0]:
+            raise MalformedInput(
+                f"{emb_path}: {emb.shape[0]} embeddings for {n_dets} detections"
+            )
         cursor = 0
         records = []
         for frame in range(scenario.n_frames):
@@ -560,10 +576,6 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
             cursor += len(dets)
             records.append(
                 FrameRecord(cid, frame, frame / scenario.fps, dets, rows)
-            )
-        if cursor != emb.shape[0]:
-            raise ValueError(
-                f"camera {cid}: {emb.shape[0]} embeddings for {cursor} detections"
             )
         streams[cid] = records
     return scenario, streams

@@ -102,6 +102,20 @@ class TestRunErrors:
         assert line.startswith("error: ") and "det_c001.csv, line" in line
 
 
+    def test_truncated_embedding_file(self, small_scenario, capsys):
+        emb_path = small_scenario / "emb_c001.bin"
+        emb_path.write_bytes(emb_path.read_bytes()[:-10])
+        assert main(["run", "--scenario", str(small_scenario)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "emb_c001.bin" in line
+
+    def test_scenario_json_without_sim(self, small_scenario, capsys):
+        (small_scenario / "scenario.json").write_text('{"topology": {}}')
+        assert main(["run", "--scenario", str(small_scenario)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "scenario.json" in line and "'sim'" in line
+
+
 class TestGenScenarioErrors:
     def test_bad_camera_count(self, tmp_path):
         assert main(["gen-scenario", "--seed", "0", "--cams", "0",
@@ -180,6 +194,32 @@ class TestEvalReid:
             "--query-labels", str(tmp_path / "no.csv"),
             "--gallery-labels", str(tmp_path / "no.csv"),
         ]) == 1
+
+
+    @pytest.mark.parametrize("row", ["0", "x,cam_b"])
+    def test_malformed_label_row(self, embedding_files, capsys, row):
+        p = embedding_files
+        with open(p["gallery_labels"], "a") as fh:
+            fh.write(row + "\n")
+        assert main([
+            "eval-reid", "--query", str(p["query"]), "--gallery", str(p["gallery"]),
+            "--query-labels", str(p["query_labels"]),
+            "--gallery-labels", str(p["gallery_labels"]),
+        ]) == 1
+        (line,) = error_lines(capsys)
+        # The header comment and 12 rows come first.
+        assert line.startswith("error: ") and "g.csv, line 14" in line
+
+    def test_truncated_embedding_file(self, embedding_files, capsys):
+        p = embedding_files
+        p["query"].write_bytes(p["query"].read_bytes()[:-3])
+        assert main([
+            "eval-reid", "--query", str(p["query"]), "--gallery", str(p["gallery"]),
+            "--query-labels", str(p["query_labels"]),
+            "--gallery-labels", str(p["gallery_labels"]),
+        ]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "q.bin" in line
 
 
 class TestLossesCheck:

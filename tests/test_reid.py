@@ -10,7 +10,7 @@ import io
 import numpy as np
 import pytest
 
-from mcvt.errors import InsufficientGallery, NoValidGallery, ZeroVector
+from mcvt.errors import InsufficientGallery, MalformedInput, NoValidGallery, ZeroVector
 from mcvt.reid import (
     CONV_HIDDEN,
     CONV_KERNEL,
@@ -333,3 +333,17 @@ def test_embedding_block_errors():
         read_embedding_block(io.BytesIO(b"EM"))
     with pytest.raises(ValueError):
         write_embedding_block(io.BytesIO(), np.ones(3))
+
+
+@pytest.mark.parametrize("dim, count", [(2**31, 2**63), (4, 1000)])
+def test_embedding_header_claiming_more_than_the_file_holds(tmp_path, dim, count):
+    # A 24-byte file: the header plus 8 payload bytes.  The row count is
+    # checked against the bytes left before anything is read.
+    data = b"EMB1" + dim.to_bytes(4, "little") + count.to_bytes(8, "little") + b"\x00" * 8
+    assert len(data) == 24
+    with pytest.raises(ValueError, match="truncated embedding payload"):
+        read_embedding_block(io.BytesIO(data))
+    path = tmp_path / "huge.bin"
+    path.write_bytes(data)
+    with pytest.raises(MalformedInput, match="huge.bin: truncated embedding payload"):
+        read_embeddings(path)

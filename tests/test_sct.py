@@ -2,10 +2,12 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mcvt import kalman
+from mcvt import kalman, sct
 from mcvt.errors import EmptyGallery, OutOfOrderFrame
-from mcvt.ingest import Detection, FrameRecord, VehicleClass
+from mcvt.ingest import Detection, FrameRecord, VehicleClass, iou, iou_matrix
 from mcvt.kalman import to_observation
 from mcvt.sct import (
     ConcludedTrack,
@@ -14,9 +16,11 @@ from mcvt.sct import (
     TrackerParams,
     TrackStatus,
     appearance_cost,
+    appearance_matrix,
     associate,
     majority_class,
 )
+from mcvt.simkit import NoiseProfile, gen_scenario, render_detections
 
 
 def unit(*values):
@@ -230,3 +234,203 @@ class TestTrackerLifecycle:
         assert len(tracks) == 1
         assert tracks[0].track_id == 1
         assert tracks[0].time_since_update == 0
+
+
+# ---------------------------------------------------------------------------
+# Batched association against the per-pair reference
+
+
+def reference_associate(tracks, frame, params):
+    """Per-(track, detection) association: one gating, appearance and IoU call per pair."""
+    confirmed = [i for i, t in enumerate(tracks) if t.status is TrackStatus.CONFIRMED]
+    others = [i for i, t in enumerate(tracks) if t.status is not TrackStatus.CONFIRMED]
+    matches = []
+    free_dets = list(range(len(frame.detections)))
+    for age in sorted({tracks[i].time_since_update for i in confirmed}):
+        if not free_dets:
+            break
+        group = [i for i in confirmed if tracks[i].time_since_update == age]
+        cost = np.zeros((len(group), len(free_dets)))
+        for gi, ti in enumerate(group):
+            track = tracks[ti]
+            for dj, di in enumerate(free_dets):
+                c = float(np.min(1.0 - np.asarray(track.gallery) @ frame.embeddings[di]))
+                mean, cov = kalman.project(track.state)
+                obs = to_observation(frame.detections[di]).as_vector()
+                if kalman.squared_mahalanobis(mean, cov, obs) > params.gating_threshold:
+                    c = sct._INFEASIBLE
+                cost[gi, dj] = c
+        got, _, _ = sct._min_cost_matching(cost, params.matching_threshold)
+        matches += [(group[gi], free_dets[dj]) for gi, dj in got]
+        taken = {free_dets[dj] for _, dj in got}
+        free_dets = [d for d in free_dets if d not in taken]
+    matched = {t for t, _ in matches}
+    remaining = [i for i in confirmed if i not in matched] + others
+    if remaining and free_dets:
+        cost = np.ones((len(remaining), len(free_dets)))
+        for ri, ti in enumerate(remaining):
+            x1, y1, x2, y2 = tracks[ti].predicted_box()
+            if x2 <= x1 or y2 <= y1:
+                continue
+            pred = Detection(x1, y1, x2, y2, alpha=1.0)
+            for dj, di in enumerate(free_dets):
+                cost[ri, dj] = 1.0 - iou(pred, frame.detections[di])
+        got, _, _ = sct._min_cost_matching(cost, params.iou_max_cost)
+        matches += [(remaining[ri], free_dets[dj]) for ri, dj in got]
+        taken = {free_dets[dj] for _, dj in got}
+        free_dets = [d for d in free_dets if d not in taken]
+    matched = {t for t, _ in matches}
+    return sorted(matches), [i for i in range(len(tracks)) if i not in matched], free_dets
+
+
+# Unit embeddings whose dot products are exact in any summation order, so
+# batched and per-pair appearance costs agree bit for bit (ties included).
+PALETTE = [sign * np.eye(4)[k] for k in range(4) for sign in (1.0, -1.0)] + [
+    0.5 * np.array([a, b, c, 1.0]) for a in (1, -1) for b in (1, -1) for c in (1, -1)
+]
+palette_vectors = st.integers(0, len(PALETTE) - 1).map(lambda k: PALETTE[k])
+coords = st.integers(0, 240).map(float)
+sizes = st.integers(12, 60).map(float)
+
+
+@st.composite
+def boxes(draw):
+    x, y, w, h = draw(coords), draw(coords), draw(sizes), draw(sizes)
+    return Detection(x, y, x + w, y + h, 1.0)
+
+
+@st.composite
+def kalman_states(draw):
+    """A state after an initiation, an optional moving update and 0-3 predictions."""
+    box = draw(boxes())
+    state = kalman.kf_initiate(to_observation(box))
+    if draw(st.booleans()):
+        dx, dy = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
+        moved = Detection(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy, 1.0)
+        state = kalman.kf_update(kalman.kf_predict(state), to_observation(moved))
+    for _ in range(draw(st.integers(0, 3))):
+        state = kalman.kf_predict(state)
+    return state
+
+
+@st.composite
+def tracks_and_frames(draw):
+    tracks = []
+    for tid in range(draw(st.integers(0, 6))):
+        state = draw(kalman_states())
+        if draw(st.integers(0, 9)) == 0:
+            state.mean[3] = -state.mean[3]  # a predicted box that is not valid
+        track = SCTrack(
+            track_id=tid,
+            camera="c",
+            state=state,
+            status=draw(st.sampled_from([TrackStatus.CONFIRMED, TrackStatus.TENTATIVE])),
+            gallery=deque(draw(st.lists(palette_vectors, min_size=1, max_size=4))),
+        )
+        track.time_since_update = draw(st.integers(1, 3))
+        tracks.append(track)
+    dets, embs = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        # Most detections sit near a track, half of those with its appearance.
+        if tracks and draw(st.integers(0, 3)):
+            track = draw(st.sampled_from(tracks))
+            x1, y1, x2, y2 = track.predicted_box()
+            if x2 > x1 and y2 > y1:
+                dx, dy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+                dets.append(Detection(x1 + dx, y1 + dy, x2 + dx, y2 + dy, 1.0))
+                embs.append(track.gallery[0] if draw(st.booleans()) else draw(palette_vectors))
+                continue
+        dets.append(draw(boxes()))
+        embs.append(draw(palette_vectors))
+    params = TrackerParams(matching_threshold=draw(st.sampled_from([0.3, 0.6, 1.2])))
+    return tracks, frame_of("c", 1, dets, embs), params
+
+
+@given(tracks_and_frames())
+def test_associate_equals_per_pair_reference(case):
+    tracks, frame, params = case
+    assert associate(tracks, frame, params) == reference_associate(tracks, frame, params)
+
+
+def test_associate_later_cascade_group_sees_only_free_columns():
+    # Both tracks want detection 0; the age-1 group takes it.  The age-2
+    # group must then read only detection 1's column of the per-frame matrix,
+    # which its gate rejects, and detection 1 overlaps nothing.
+    young = confirmed_track(1, det_at(100, 100), E1, tsu=1)
+    old = confirmed_track(2, det_at(100, 100), E1, tsu=2)
+    frame = frame_of("c", 3, [det_at(101, 100), det_at(400, 400)], [E1, E1])
+    params = TrackerParams()
+    expected = ([(0, 0)], [1], [1])
+    assert associate([young, old], frame, params) == expected
+    assert reference_associate([young, old], frame, params) == expected
+
+
+@given(st.lists(kalman_states(), min_size=1, max_size=5), st.lists(boxes(), max_size=6))
+def test_gating_matrix_equals_per_pair_mahalanobis(states, dets):
+    obs = np.array([to_observation(d).as_vector() for d in dets]).reshape(len(dets), 4)
+    expected = np.array(
+        [[kalman.squared_mahalanobis(*kalman.project(s), o) for o in obs] for s in states]
+    ).reshape(len(states), len(dets))
+    got = kalman.gating_matrix(states, obs)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-9)
+    for s, row in zip(states, expected):
+        for d, value in zip(dets, row):
+            assert kalman.gating_distance(s, to_observation(d)) == pytest.approx(value, rel=1e-9)
+
+
+@st.composite
+def float_boxes(draw):
+    x = draw(st.floats(-50.0, 150.0))
+    y = draw(st.floats(-50.0, 150.0))
+    w = draw(st.floats(0.01, 80.0))
+    h = draw(st.floats(0.01, 80.0))
+    return Detection(x, y, x + w, y + h, 1.0)
+
+
+@given(st.lists(float_boxes() | boxes(), max_size=5), st.lists(float_boxes() | boxes(), max_size=5))
+def test_iou_matrix_equals_iou_exactly(a, b):
+    def corners(dets):
+        return np.array([(d.x1, d.y1, d.x2, d.y2) for d in dets]).reshape(len(dets), 4)
+
+    got = iou_matrix(corners(a), corners(b))
+    assert got.shape == (len(a), len(b))
+    for i, da in enumerate(a):
+        for j, db in enumerate(b):
+            assert got[i, j] == iou(da, db)
+
+
+def test_appearance_matrix_rows_are_per_track_minima():
+    galleries = [deque([E1, E2]), deque([E2]), deque([unit(1, 1, 0, 0)])]
+    embs = np.stack([E1, E2, unit(0, 0, 1, 0)])
+    got = appearance_matrix(galleries, embs)
+    for t, gallery in enumerate(galleries):
+        for n, e in enumerate(embs):
+            assert got[t, n] == pytest.approx(appearance_cost(gallery, e))
+    with pytest.raises(EmptyGallery):
+        appearance_matrix([deque([E1]), deque()], embs)
+
+
+def test_tracker_gates_each_frame_with_one_matrix(monkeypatch):
+    scenario, gt = gen_scenario(5, 2, 12, 20.0)
+    streams = render_detections(scenario, gt, NoiseProfile(box_jitter_std=2.0, miss_rate=0.1))
+    calls = []
+    batched = kalman.gating_matrix
+
+    def counting(*args):
+        calls.append(1)
+        return batched(*args)
+
+    def per_pair(*args):
+        raise AssertionError("association scored a single pair")
+
+    monkeypatch.setattr(kalman, "gating_matrix", counting)
+    monkeypatch.setattr(kalman, "gating_distance", per_pair)
+    monkeypatch.setattr(sct, "appearance_cost", per_pair)
+    cid = scenario.camera_ids[0]
+    tracker = SingleCameraTracker(cid, scenario.fps)
+    for frame in streams[cid]:
+        before = len(calls)
+        tracker.step(frame)
+        assert len(calls) - before <= 1
+    assert calls  # confirmed tracks met detections, so the gate did run

@@ -1,11 +1,12 @@
 """Simulator checks: geometry, determinism, noise statistics, disk round trip."""
 
 import filecmp
+import json
 
 import numpy as np
 import pytest
 
-from mcvt.errors import InvalidLayout, UnknownIdentity
+from mcvt.errors import InvalidLayout, MalformedInput, UnknownIdentity
 from mcvt.geo import are_adjacent, are_overlapping, haversine_distance, pixel_to_geo
 from mcvt.simkit import (
     CAM_SPACING_M,
@@ -394,7 +395,51 @@ class TestScenarioDir:
         padded = np.vstack([emb, emb[-1:]])  # one orphan row at the end
         with open(emb_path, "wb") as fh:
             write_embedding_block(fh, padded)
-        with pytest.raises(ValueError, match="c001"):
+        with pytest.raises(MalformedInput, match="emb_c001.bin: 204 embeddings for 203"):
+            load_scenario_dir(tmp_path / "scn")
+
+    def test_embedding_file_short_of_rows_names_the_file(self, tmp_path):
+        scenario, gt = small_scenario()
+        write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
+                           tmp_path / "scn")
+        from mcvt.reid import read_embeddings, write_embeddings
+
+        emb_path = tmp_path / "scn" / "emb_c003.bin"
+        write_embeddings(emb_path, read_embeddings(emb_path)[:-1])
+        with pytest.raises(MalformedInput, match="emb_c003.bin: .* embeddings for"):
+            load_scenario_dir(tmp_path / "scn")
+
+    def test_truncated_embedding_file_names_the_file(self, tmp_path):
+        scenario, gt = small_scenario()
+        write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
+                           tmp_path / "scn")
+        emb_path = tmp_path / "scn" / "emb_c002.bin"
+        emb_path.write_bytes(emb_path.read_bytes()[:-10])
+        with pytest.raises(MalformedInput, match="emb_c002.bin: truncated embedding payload"):
+            load_scenario_dir(tmp_path / "scn")
+
+    @pytest.mark.parametrize("drop", [("sim",), ("sim", "fps"), ("topology",)])
+    def test_scenario_json_missing_field_names_the_file(self, tmp_path, drop):
+        scenario, gt = small_scenario()
+        write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
+                           tmp_path / "scn")
+        meta = tmp_path / "scn" / "scenario.json"
+        data = json.loads(meta.read_text())
+        holder = data
+        for key in drop[:-1]:
+            holder = holder[key]
+        del holder[drop[-1]]
+        meta.write_text(json.dumps(data))
+        with pytest.raises(MalformedInput, match=f"scenario.json: missing field '{drop[-1]}'"):
+            load_scenario_dir(tmp_path / "scn")
+
+    @pytest.mark.parametrize("text", ["{oops", "[]"])
+    def test_scenario_json_that_is_no_scenario_names_the_file(self, tmp_path, text):
+        scenario, gt = small_scenario()
+        write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
+                           tmp_path / "scn")
+        (tmp_path / "scn" / "scenario.json").write_text(text)
+        with pytest.raises(MalformedInput, match="scenario.json: "):
             load_scenario_dir(tmp_path / "scn")
 
     def test_ground_truth_round_trip(self, tmp_path):

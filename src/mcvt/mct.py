@@ -16,6 +16,13 @@ runs this at a fixed tick period over newly concluded tracks plus
 representatives of the identities it already holds, and flushes identities
 that have been inactive past a horizon.
 
+`candidate_similarity` is the one definition of the rules.  The similarity
+matrix calls it only on the pairs that rules 1, 2 and 4 let through, found as
+numpy masks over camera-membership, time and topology arrays; the direction
+and speed rules stay scalar.  The store caches each identity's candidate and
+the score of every pair of unchanged identities, so a tick scores roughly the
+new tracks against their plausible partners, not all candidates squared.
+
 Note on rule 3: the quadratic prior is normalized by v_max squared, the only
 scaling that makes it unitless with range [0, 1]; see README for discussion.
 """
@@ -193,14 +200,72 @@ def candidate_similarity(a: Candidate, b: Candidate, topo: CameraTopology, cfg: 
     return max(0.0, appearance * sim_v)
 
 
-def build_similarity_matrix(tracks, topo: CameraTopology, cfg: MctConfig) -> np.ndarray:
-    """Symmetric zero-diagonal matrix of rule-gated similarities."""
+def _rule_mask(cands: list[Candidate], topo: CameraTopology, cfg: MctConfig) -> np.ndarray:
+    """(n, n) booleans: the pairs that rules 1, 2 and 4 do not reject.
+
+    Each pair is oriented as `candidate_similarity` orients it: by rank in
+    sort_key order, ties (never seen: candidates hold disjoint tracks) going
+    to the lower index.  A camera missing from the topology passes rules 2
+    and 4, so that the scalar check raises UnknownCamera as it always did.
+    """
+    index = {cid: k for k, cid in enumerate(topo.cameras)}
+    for c in cands:
+        for cid in c.cameras:
+            index.setdefault(cid, len(index))
+    member = np.zeros((len(cands), len(index)))
+    for i, c in enumerate(cands):
+        member[i, [index[cid] for cid in c.cameras]] = 1.0
+
+    def relation(pairs) -> np.ndarray:
+        rel = np.zeros((len(index), len(index)), dtype=bool)
+        for a, b in (tuple(pair) for pair in pairs):
+            rel[index[a], index[b]] = rel[index[b], index[a]] = True
+        rel[len(topo.cameras):, :] = rel[:, len(topo.cameras):] = True
+        return rel
+
+    rank = np.empty(len(cands), dtype=int)
+    rank[sorted(range(len(cands)), key=lambda k: cands[k].sort_key)] = np.arange(len(cands))
+    first = rank[:, None] < rank[None, :]
+
+    def oriented(m: np.ndarray) -> np.ndarray:
+        return np.where(first, m, m.T)  # m[i, j] assumes i is the earlier one
+
+    t_s = np.array([c.t_s for c in cands], dtype=float)
+    t_e = np.array([c.t_e for c in cands], dtype=float)
+    end = np.array([index[c.end_camera] for c in cands], dtype=int)[:, None]
+    start = np.array([index[c.start_camera] for c in cands], dtype=int)[None, :]
+    dt = oriented(t_s[None, :] - t_e[:, None])
+
+    keep = member @ member.T == 0.0  # rule 1
+    keep &= ~(dt <= 0) | oriented(relation(topo.overlap)[end, start])  # rule 2
+    if cfg.use_adjacency:
+        keep &= oriented(relation(topo.adjacency)[end, start])  # rule 4
+    return keep
+
+
+def build_similarity_matrix(
+    tracks, topo: CameraTopology, cfg: MctConfig, scores: dict | None = None
+) -> np.ndarray:
+    """Symmetric zero-diagonal matrix of rule-gated similarities.
+
+    Only pairs that pass the rule masks are scored.  `scores`, when given,
+    maps an ordered pair of existing-identity ids to their similarity: such a
+    pair is looked up there, and scored and stored on a miss.
+    """
     cands = [t if isinstance(t, Candidate) else Candidate.from_track(t) for t in tracks]
     n = len(cands)
     matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i, j] = matrix[j, i] = candidate_similarity(cands[i], cands[j], topo, cfg)
+    rows, cols = np.nonzero(np.triu(_rule_mask(cands, topo, cfg), 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        a, b = cands[i], cands[j]
+        if scores is None or a.existing_id is None or b.existing_id is None:
+            sim = candidate_similarity(a, b, topo, cfg)
+        else:
+            key = tuple(sorted((a.existing_id, b.existing_id)))
+            sim = scores.get(key)
+            if sim is None:
+                sim = scores[key] = candidate_similarity(a, b, topo, cfg)
+        matrix[i, j] = matrix[j, i] = sim
     return matrix
 
 
@@ -227,7 +292,8 @@ def hierarchical_cluster(tracks, matrix: np.ndarray) -> list[list[int]]:
             i = parent[i]
         return i
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if matrix[i, j] > 0.0]
+    rows, cols = np.nonzero(np.triu(matrix > 0.0, 1))
+    pairs = list(zip(rows.tolist(), cols.tolist()))
     pairs.sort(
         key=lambda ij: (
             -matrix[ij[0], ij[1]],
@@ -248,21 +314,57 @@ def hierarchical_cluster(tracks, matrix: np.ndarray) -> list[list[int]]:
 
 
 class MultiCameraStore:
-    """Active global identities; written only by the supervisor."""
+    """Active global identities; written only by the supervisor.
+
+    The store also caches, per identity object, its clustering candidate, and
+    the score of each pair of identities, for the (topology, config) the
+    scores were computed under.  An identity object is never modified: a
+    merge builds a new one, so a replaced or removed identity's entries are
+    stale and `prune` drops them.
+    """
 
     def __init__(self, next_id: int = 1):
         self.active: dict[int, MultiCameraTrack] = {}
         self._next_id = next_id
+        self._candidates: dict[int, tuple[MultiCameraTrack, Candidate]] = {}
+        self._scores: dict[tuple[int, int], float] = {}
+        self._rules: tuple[CameraTopology, MctConfig] | None = None
 
     def new_id(self) -> int:
         gid = self._next_id
         self._next_id += 1
         return gid
 
+    def candidates(self, topo: CameraTopology, cfg: MctConfig) -> list[Candidate]:
+        """One candidate per active identity, in global-id order, from the cache."""
+        if self._rules is None or self._rules[0] is not topo or self._rules[1] != cfg:
+            self._scores.clear()
+            self._rules = (topo, replace(cfg))
+        self.prune()
+        for gid, identity in self.active.items():
+            if gid not in self._candidates:
+                self._candidates[gid] = (identity, Candidate.from_identity(identity))
+        return [self._candidates[gid][1] for gid in sorted(self.active)]
+
+    def prune(self) -> None:
+        """Drop the cache entries of every identity replaced or removed since cached."""
+        stale = {
+            gid
+            for gid, (identity, _) in self._candidates.items()
+            if self.active.get(gid) is not identity
+        }
+        if stale:
+            for gid in stale:
+                del self._candidates[gid]
+            self._scores = {
+                k: v for k, v in self._scores.items() if k[0] not in stale and k[1] not in stale
+            }
+
     def drain(self) -> list[MultiCameraTrack]:
         """End of run: emit and clear every remaining identity."""
         out = [self.active[gid] for gid in sorted(self.active)]
         self.active.clear()
+        self.prune()
         return out
 
 
@@ -276,7 +378,10 @@ def supervisor_tick(
     """One supervisor round: cluster new tracks against held identities.
 
     Candidates are the tick's concluded tracks (camera-bias mitigated per
-    camera) plus one representative per active identity.  Merged identities
+    camera) plus one representative per active identity.  Identity
+    representatives and the scores between two unchanged identities come from
+    the store's caches, and only pairs that pass the masks of rules 1, 2 and 4
+    are scored, so the output equals scoring every pair.  Merged identities
     keep the smallest participating global id; clusters of only-new tracks
     get fresh ids.  Identities quiet for longer than flush_horizon are
     removed and returned as final.
@@ -292,14 +397,12 @@ def supervisor_tick(
         )
         new_tracks = [replace(t, embedding=e) for t, e in zip(new_tracks, adjusted)]
 
-    candidates = [
-        Candidate.from_identity(store.active[gid]) for gid in sorted(store.active)
-    ] + [Candidate.from_track(t) for t in new_tracks]
+    candidates = store.candidates(topo, cfg) + [Candidate.from_track(t) for t in new_tracks]
 
     assignments: dict[tuple[str, int], int] = {}
     if candidates:
         matrix = apply_min_threshold(
-            build_similarity_matrix(candidates, topo, cfg), cfg.tau_min
+            build_similarity_matrix(candidates, topo, cfg, store._scores), cfg.tau_min
         )
         for cluster in hierarchical_cluster(candidates, matrix):
             members = [candidates[i] for i in cluster]
@@ -327,6 +430,7 @@ def supervisor_tick(
     ]
     for identity in flushed:
         del store.active[identity.global_id]
+    store.prune()
     return assignments, flushed
 
 

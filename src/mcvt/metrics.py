@@ -119,7 +119,7 @@ def evaluate_mota(
     else:
         mota = 1.0 if fp == 0 else 0.0
 
-    idp, idr, idf1, idtp, idfp, idfn = _identity_counts(gt, pred, iou_thresh)
+    idp, idr, idf1, idtp, idfp, idfn = _identity_counts(gt, pred, pred_frames, iou_thresh)
     return MotSummary(
         mota=mota,
         idp=idp,
@@ -139,11 +139,13 @@ def evaluate_identity(
     gt: TrajectorySet, pred: TrajectorySet, iou_thresh: float = IOU_THRESHOLD
 ) -> tuple[float, float, float]:
     """(IDP, IDR, IDF1) under the optimal global id correspondence."""
-    idp, idr, idf1, _, _, _ = _identity_counts(gt, pred, iou_thresh)
+    idp, idr, idf1, _, _, _ = _identity_counts(gt, pred, _by_frame(pred), iou_thresh)
     return idp, idr, idf1
 
 
-def _identity_counts(gt: TrajectorySet, pred: TrajectorySet, thresh: float):
+def _identity_counts(gt: TrajectorySet, pred: TrajectorySet, pred_frames, thresh: float):
+    """Identity counts; `pred_frames` is `_by_frame(pred)`, so each
+    ground-truth box meets only the predictions of its own camera frame."""
     gt_ids = sorted(gt)
     pred_ids = sorted(pred)
     n_gt, n_pred = len(gt_ids), len(pred_ids)
@@ -152,24 +154,22 @@ def _identity_counts(gt: TrajectorySet, pred: TrajectorySet, thresh: float):
     total_gt = sum(gt_len.values())
     total_pred = sum(pred_len.values())
 
-    pred_frames: dict[int, dict[tuple[str, int], Detection]] = {
-        p: {(camera, frame): box for camera, frame, box in pred[p]} for p in pred_ids
-    }
+    pred_index = {p: j for j, p in enumerate(pred_ids)}
     overlap = np.zeros((n_gt, n_pred), dtype=int)
     for i, g in enumerate(gt_ids):
         for camera, frame, box in gt[g]:
-            for j, p in enumerate(pred_ids):
-                other = pred_frames[p].get((camera, frame))
-                if other is not None and iou(box, other) >= thresh:
-                    overlap[i, j] += 1
+            for p, other in pred_frames.get((camera, frame), {}).items():
+                if iou(box, other) >= thresh:
+                    overlap[i, pred_index[p]] += 1
 
     # (n_gt + n_pred) x (n_pred + n_gt) assignment: real pairs top-left,
     # per-id dummies on the diagonals, zero cost in the spillover block.
     big = float(total_gt + total_pred + 1)
     cost = np.full((n_gt + n_pred, n_pred + n_gt), big)
+    gt_lens = np.array([gt_len[g] for g in gt_ids], dtype=int)
+    pred_lens = np.array([pred_len[p] for p in pred_ids], dtype=int)
+    cost[:n_gt, :n_pred] = gt_lens[:, None] + pred_lens[None, :] - 2 * overlap
     for i, g in enumerate(gt_ids):
-        for j, p in enumerate(pred_ids):
-            cost[i, j] = gt_len[g] + pred_len[p] - 2 * overlap[i, j]
         cost[i, n_pred + i] = gt_len[g]
     for j, p in enumerate(pred_ids):
         cost[n_gt + j, j] = pred_len[p]

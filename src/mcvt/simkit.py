@@ -545,7 +545,8 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
     """Read a written scenario directory back into streams (float32 embeddings).
 
     A scenario.json that does not describe a scenario, an embedding file that
-    does not parse and an embedding file whose row count differs from its
+    does not parse, an embedding file whose dimension differs from the
+    scenario's and an embedding file whose row count differs from its
     detection file all raise MalformedInput naming the file.
     """
     outdir = Path(outdir)
@@ -563,6 +564,10 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
         frames = read_detection_csv(outdir / f"det_{cid}.csv")
         emb_path = outdir / f"emb_{cid}.bin"
         emb = read_embeddings(emb_path)
+        if emb.shape[1] != scenario.embed_dim:
+            raise MalformedInput(
+                f"{emb_path}: embedding dimension {emb.shape[1]}, expected {scenario.embed_dim}"
+            )
         n_dets = sum(len(frames.get(frame, [])) for frame in range(scenario.n_frames))
         if n_dets != emb.shape[0]:
             raise MalformedInput(

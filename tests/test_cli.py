@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mcvt.cli import main
-from mcvt.reid import write_embeddings
+from mcvt.reid import read_embeddings, write_embeddings
 from mcvt.simkit import NoiseProfile, gen_scenario, render_detections, write_scenario_dir
 
 
@@ -108,6 +108,13 @@ class TestRunErrors:
         assert main(["run", "--scenario", str(small_scenario)]) == 1
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and "emb_c001.bin" in line
+
+    def test_embedding_file_of_another_dimension(self, small_scenario, capsys):
+        emb_path = small_scenario / "emb_c002.bin"
+        write_embeddings(emb_path, read_embeddings(emb_path)[:, :32])
+        assert main(["run", "--scenario", str(small_scenario)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "emb_c002.bin" in line and "dimension 32" in line
 
     def test_scenario_json_without_sim(self, small_scenario, capsys):
         (small_scenario / "scenario.json").write_text('{"topology": {}}')

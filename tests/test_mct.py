@@ -3,14 +3,22 @@
 Geometry below lives on the equator where one metre is 1/111194.9266 of a
 longitude degree, so every distance used in a rule is a round number of
 metres.
+
+The rule-masked, identity-cached similarity path is checked against the plain
+double loop (`reference_similarity_matrix`) and against a supervisor store
+rebuilt without caches at every tick, on generated candidates and tick
+sequences.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mcvt.errors import NonPositiveDt
+from mcvt import mct
+from mcvt.errors import NonPositiveDt, UnknownCamera
 from mcvt.geo import CameraInfo, GeoPoint, Homography, make_topology
 from mcvt.ingest import Detection, VehicleClass
 from mcvt.mct import (
@@ -327,6 +335,240 @@ class TestSupervisor:
         t2 = ct("B", 1, 15, 21, 150, 210, emb=-E1)  # opposite embedding
         assignments, _ = supervisor_tick(store, [t1, t2], now=22.0, topo=TOPO, cfg=CFG)
         assert assignments[("A", 1)] != assignments[("B", 1)]
+
+
+# ------------------------------------------------ masks and caches vs the plain loop
+
+
+def reference_similarity_matrix(tracks, topo, cfg):
+    """The plain double loop: every pair through candidate_similarity."""
+    cands = [t if isinstance(t, Candidate) else Candidate.from_track(t) for t in tracks]
+    n = len(cands)
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i, j] = matrix[j, i] = candidate_similarity(cands[i], cands[j], topo, cfg)
+    return matrix
+
+
+CORRIDOR = ("A", "B", "C", "D")
+CAMERA_X = {"A": 30.0, "B": 180.0, "C": 330.0, "D": 480.0}
+EMBEDDINGS = (E1, E2, unit(1, 1, 0, 0), unit(1, 0.2, 0, 0))
+
+
+def corridor4(adjacent, overlap):
+    cams = [CameraInfo(c, geo(CAMERA_X[c]), Homography.identity(), 10.0) for c in CORRIDOR]
+    return make_topology(cams, adjacent=adjacent, overlap=overlap)
+
+
+@st.composite
+def topologies(draw):
+    pairs = [(a, b) for i, a in enumerate(CORRIDOR) for b in CORRIDOR[i + 1:]]
+    adjacent = [p for p in pairs if draw(st.booleans())]
+    overlap = [p for p in adjacent if draw(st.booleans())]
+    return corridor4(adjacent, overlap)
+
+
+@st.composite
+def similarity_cases(draw):
+    """(candidates, topology, config) on a 4-camera corridor.
+
+    Vehicles drive east or west past some of the cameras; each vehicle's
+    tracks are split into runs of single tracks and multi-member identities,
+    so many pairs pass every rule.  Integer times make equal t_e values and
+    touching or overlapping intervals common.  Unrelated tracks are mixed in,
+    now and then on a camera the topology lacks.
+    """
+    topo = draw(topologies())
+    cfg = MctConfig(use_adjacency=draw(st.booleans()), use_direction=draw(st.booleans()))
+    ids = iter(range(1, 100))
+    cands = []
+    for _ in range(draw(st.integers(0, 4))):
+        route = CORRIDOR if draw(st.booleans()) else CORRIDOR[::-1]
+        sign = 1.0 if route[0] == "A" else -1.0
+        t0, gap = draw(st.integers(0, 20)), draw(st.sampled_from((-3, 0, 3, 9, 15)))
+        emb = draw(st.sampled_from(EMBEDDINGS))
+        run: list = []
+        for k, camera in enumerate(route):
+            if not draw(st.booleans()):
+                continue
+            x, t_s = CAMERA_X[camera], t0 + k * (6 + gap)
+            run.append(ct(camera, next(ids), t_s, t_s + 6, x - 30 * sign, x + 30 * sign, emb=emb))
+            if k == len(route) - 1 or draw(st.booleans()):
+                if len(run) > 1 or draw(st.booleans()):
+                    cands.append(Candidate.from_identity(MultiCameraTrack(next(ids), run)))
+                else:
+                    cands.append(cand(run[0]))
+                run = []
+    cameras = CORRIDOR + ("Z",)
+    for _ in range(draw(st.integers(0, 4))):
+        camera = draw(st.sampled_from(cameras)) if draw(st.integers(0, 4)) == 0 else \
+            draw(st.sampled_from(CORRIDOR))
+        x, t_s = CAMERA_X.get(camera, 600.0), draw(st.integers(0, 60))
+        cands.append(cand(ct(
+            camera, next(ids), t_s, t_s + draw(st.integers(0, 8)),
+            x + draw(st.sampled_from((-30.0, 0.0, 30.0))),
+            x + draw(st.sampled_from((-30.0, 0.0, 30.0))),
+            emb=draw(st.sampled_from(EMBEDDINGS)),
+        )))
+    return draw(st.permutations(cands)), topo, cfg
+
+
+@given(similarity_cases())
+def test_masked_matrix_equals_the_plain_loop(case):
+    cands, topo, cfg = case
+    try:
+        expected = reference_similarity_matrix(cands, topo, cfg)
+    except UnknownCamera:
+        with pytest.raises(UnknownCamera):
+            build_similarity_matrix(cands, topo, cfg)
+        return
+    assert (build_similarity_matrix(cands, topo, cfg) == expected).all()
+    # A score cache, cold and then warm, changes nothing.
+    scores: dict = {}
+    assert (build_similarity_matrix(cands, topo, cfg, scores) == expected).all()
+    assert (build_similarity_matrix(cands, topo, cfg, scores) == expected).all()
+
+
+def member_keys(identity):
+    return sorted((t.camera, t.track_id) for t in identity.members)
+
+
+def assert_cache_holds_only_live_identities(store, gone):
+    for gid, (identity, _) in store._candidates.items():
+        assert store.active.get(gid) is identity
+    cached = set(store._candidates)
+    assert all(a in cached and b in cached for a, b in store._scores)
+    for gid in gone:
+        assert gid not in cached
+
+
+def run_against_rebuilt_store(ticks, topo):
+    """Drive one store through `ticks` of (new tracks, now, cfg) and check
+    every tick against a cache-free store holding the same identities."""
+    store = MultiCameraStore()
+    results = []
+    for new_tracks, now, cfg in ticks:
+        rebuilt = MultiCameraStore(next_id=store._next_id)
+        rebuilt.active = dict(store.active)
+        before = dict(store.active)
+        assignments, flushed = supervisor_tick(store, new_tracks, now, topo, cfg)
+        want_assignments, want_flushed = supervisor_tick(rebuilt, new_tracks, now, topo, cfg)
+        assert assignments == want_assignments
+        assert [(m.global_id, member_keys(m)) for m in flushed] == [
+            (m.global_id, member_keys(m)) for m in want_flushed
+        ]
+        assert {g: member_keys(m) for g, m in store.active.items()} == {
+            g: member_keys(m) for g, m in rebuilt.active.items()
+        }
+        replaced = {g for g, m in before.items() if store.active.get(g) is not m}
+        assert_cache_holds_only_live_identities(store, replaced)
+        results.append((assignments, flushed, before))
+    return store, results
+
+
+@given(st.data())
+def test_cached_supervisor_matches_a_store_rebuilt_each_tick(data):
+    draw = data.draw
+    topo = corridor4(
+        [("A", "B"), ("B", "C"), ("C", "D")],
+        [p for p in (("A", "B"), ("C", "D")) if draw(st.booleans())],
+    )
+    configs = [
+        MctConfig(flush_horizon=draw(st.sampled_from((15.0, 1000.0))),
+                  use_adjacency=draw(st.booleans()), use_direction=draw(st.booleans()))
+        for _ in range(2)
+    ]
+    n_ticks = draw(st.integers(1, 6))
+    deliveries = [[] for _ in range(n_ticks)]
+    tid = 0
+    for _ in range(draw(st.integers(1, 5))):
+        # An eastbound vehicle at about 10 m/s; each camera's track reaches
+        # the supervisor in a drawn tick, so later tracks can arrive first
+        # and bridge two identities when the missing one comes in.
+        t0 = draw(st.integers(0, 20))
+        emb = draw(st.sampled_from(EMBEDDINGS))
+        for k, camera in enumerate(CORRIDOR):
+            if draw(st.booleans()):
+                t_s = t0 + 15 * k
+                x = CAMERA_X[camera]
+                tid += 1
+                deliveries[draw(st.integers(0, n_ticks - 1))].append(
+                    ct(camera, tid, t_s, t_s + 6, x - 30.0, x + 30.0, emb=emb)
+                )
+    ticks = [
+        (tracks, 10.0 * (k + 1), draw(st.sampled_from(configs)))
+        for k, tracks in enumerate(deliveries)
+    ]
+    store, _ = run_against_rebuilt_store(ticks, topo)
+    store.drain()
+    assert store._candidates == {} and store._scores == {}
+
+
+def test_cached_supervisor_through_a_merge_and_a_flush():
+    cfg = MctConfig(flush_horizon=50.0)
+    ticks = [
+        ([ct("A", 1, 0, 6, 0, 60), ct("D", 7, 0, 6, 450, 510, emb=E2)], 7.0, cfg),
+        ([ct("C", 1, 30, 36, 300, 360)], 37.0, cfg),  # not adjacent to A: identity 3
+        ([], 37.5, cfg),
+        ([ct("B", 1, 15, 21, 150, 210)], 38.0, cfg),  # bridges identities 1 and 3
+        ([], 100.0, cfg),
+    ]
+    topo = corridor4([("A", "B"), ("B", "C"), ("C", "D")], [])
+    store, results = run_against_rebuilt_store(ticks, topo)
+    assignments, _, before_merge = results[3]
+    after_merge = results[4][2]
+    assert sorted(before_merge) == [1, 2, 3]
+    assert assignments == {("B", 1): 1} and sorted(after_merge) == [1, 2]
+    assert after_merge[1].cameras == {"A", "B", "C"}
+    assert [m.global_id for m in results[4][1]] == [1, 2]
+    assert store.active == {}
+
+
+def test_unchanged_identities_are_never_rescored(monkeypatch):
+    topo = corridor4([("A", "B"), ("B", "C"), ("C", "D")], [])
+    store = MultiCameraStore()
+    # Two identities that pass rules 1, 2 and 4 but differ in appearance:
+    # their pair is scored once, in the first tick that holds both.
+    supervisor_tick(store, [ct("A", 1, 0, 6, 0, 60), ct("B", 5, 15, 21, 150, 210, emb=-E1)],
+                    now=22.0, topo=topo, cfg=CFG)
+    supervisor_tick(store, [], now=23.0, topo=topo, cfg=CFG)
+    held = dict(store.active)
+    assert sorted(held) == [1, 2]
+
+    scored, built = [], []
+
+    def spy(a, b, topo, cfg):
+        scored.append((a, b))
+        return candidate_similarity(a, b, topo, cfg)
+
+    from_identity = Candidate.from_identity
+    monkeypatch.setattr(mct, "candidate_similarity", spy)
+    monkeypatch.setattr(
+        Candidate, "from_identity",
+        classmethod(lambda cls, identity: built.append(identity) or from_identity(identity)),
+    )
+    supervisor_tick(store, [], now=24.0, topo=topo, cfg=CFG)
+    assert scored == [] and built == [] and store.active == held
+    assignments, _ = supervisor_tick(
+        store, [ct("C", 1, 30, 36, 300, 360, emb=-E1)], now=37.0, topo=topo, cfg=CFG
+    )
+    assert assignments == {("C", 1): 2}
+    assert scored and all(a.existing_id is None or b.existing_id is None for a, b in scored)
+
+
+def test_score_cache_is_dropped_when_the_rules_change():
+    topo = corridor4([("A", "B"), ("B", "C"), ("C", "D")], [])
+    store = MultiCameraStore()
+    # An oncoming B track: rules 1, 2 and 4 pass, so the pair of held
+    # identities is scored (0.0 by rule 5) and cached.
+    supervisor_tick(store, [ct("A", 1, 0, 6, 0, 60), ct("B", 1, 15, 21, 210, 150)],
+                    now=22.0, topo=topo, cfg=CFG)
+    supervisor_tick(store, [], now=23.0, topo=topo, cfg=CFG)
+    assert sorted(store.active) == [1, 2] and store._scores == {(1, 2): 0.0}
+    # Without rule 5 the same two identities match.
+    supervisor_tick(store, [], now=24.0, topo=topo, cfg=MctConfig(use_direction=False))
+    assert sorted(store.active) == [1]
 
 
 def test_identities_to_trajectories_shape():

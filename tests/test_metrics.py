@@ -112,6 +112,8 @@ def test_duplicate_id_in_frame_rejected():
     bad = {1: [("c", 0, box(0.0)), ("c", 0, box(30.0))]}
     with pytest.raises(ValueError):
         evaluate_mota(bad, {})
+    with pytest.raises(ValueError, match="id 1 appears twice"):
+        evaluate_identity({}, bad)
 
 
 def test_multi_camera_frames_are_distinct():

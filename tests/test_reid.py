@@ -9,6 +9,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcvt.errors import InsufficientGallery, MalformedInput, NoValidGallery, ZeroVector
 from mcvt.reid import (
@@ -347,3 +349,35 @@ def test_embedding_header_claiming_more_than_the_file_holds(tmp_path, dim, count
     path.write_bytes(data)
     with pytest.raises(MalformedInput, match="huge.bin: truncated embedding payload"):
         read_embeddings(path)
+
+
+@given(
+    magic=st.one_of(st.just(b"EMB1"), st.binary(min_size=4, max_size=4)),
+    dim=st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1)),
+    count=st.one_of(st.integers(0, 8), st.integers(0, 2**64 - 1)),
+    extra=st.integers(-8, 8),
+    header_cut=st.one_of(st.none(), st.integers(0, 15)),
+)
+def test_embedding_reader_on_generated_headers(
+    tmp_path_factory, magic, dim, count, extra, header_cut
+):
+    # The payload is the size the header claims (capped at 1 KiB) give or
+    # take a few bytes, so exact, short and overlong blocks all occur.
+    header = b"".join((magic, dim.to_bytes(4, "little"), count.to_bytes(8, "little")))
+    if header_cut is not None:
+        header = header[:header_cut]
+    data = header + bytes(max(0, min(4 * dim * count, 1024) + extra))
+    try:
+        block = read_embedding_block(io.BytesIO(data))
+    except ValueError:
+        block = None
+    else:
+        assert block.shape == (count, dim) and block.dtype == np.float64
+
+    path = tmp_path_factory.mktemp("emb") / "gen.bin"
+    path.write_bytes(data)
+    if block is None:
+        with pytest.raises(MalformedInput, match="gen.bin: "):
+            read_embeddings(path)
+    else:
+        assert np.array_equal(read_embeddings(path), block)

@@ -409,6 +409,21 @@ class TestScenarioDir:
         with pytest.raises(MalformedInput, match="emb_c003.bin: .* embeddings for"):
             load_scenario_dir(tmp_path / "scn")
 
+    @pytest.mark.parametrize("dim", [32, 0])
+    def test_embedding_dimension_mismatch_names_the_file(self, tmp_path, dim):
+        scenario, gt = small_scenario()
+        write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
+                           tmp_path / "scn")
+        from mcvt.reid import read_embeddings, write_embeddings
+
+        emb_path = tmp_path / "scn" / "emb_c002.bin"
+        write_embeddings(emb_path, read_embeddings(emb_path)[:, :dim])
+        with pytest.raises(
+            MalformedInput,
+            match=f"emb_c002.bin: embedding dimension {dim}, expected {scenario.embed_dim}",
+        ):
+            load_scenario_dir(tmp_path / "scn")
+
     def test_truncated_embedding_file_names_the_file(self, tmp_path):
         scenario, gt = small_scenario()
         write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),

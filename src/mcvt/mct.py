@@ -19,9 +19,7 @@ that have been inactive past a horizon.
 `candidate_similarity` is the one definition of the rules.  The similarity
 matrix calls it only on the pairs that rules 1, 2 and 4 let through, found as
 numpy masks over camera-membership, time and topology arrays; the direction
-and speed rules stay scalar.  The store caches each identity's candidate and
-the score of every pair of unchanged identities, so a tick scores roughly the
-new tracks against their plausible partners, not all candidates squared.
+and speed rules stay scalar.
 
 Note on rule 3: the quadratic prior is normalized by v_max squared, the only
 scaling that makes it unitless with range [0, 1]; see README for discussion.
@@ -29,7 +27,10 @@ scaling that makes it unitless with range [0, 1]; see README for discussion.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,10 @@ class MctConfig:
     use_direction: bool = True  # traffic rule 5
 
     def __post_init__(self):
+        for name in ("tau_min", "v_max", "flush_horizon", "tick_period", "bias_lambda"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 <= self.tau_min <= 1.0:
             raise ValueError(f"tau_min must be in [0, 1], got {self.tau_min}")
         if self.v_max <= 0:
@@ -128,6 +133,8 @@ class Candidate:
 
 @dataclass
 class MultiCameraTrack:
+    """A global identity.  Never modified: a merge builds a new one."""
+
     global_id: int
     members: list  # ConcludedTracks, pairwise camera-distinct
     cameras: set = field(default_factory=set)
@@ -138,6 +145,10 @@ class MultiCameraTrack:
         if len(self.cameras) != len(self.members):
             raise ValueError(f"identity {self.global_id} holds two tracks of one camera")
         self.last_seen = max(t.t_e for t in self.members)
+
+    @cached_property
+    def candidate(self) -> Candidate:
+        return Candidate.from_identity(self)
 
 
 @dataclass(frozen=True)
@@ -243,29 +254,17 @@ def _rule_mask(cands: list[Candidate], topo: CameraTopology, cfg: MctConfig) -> 
     return keep
 
 
-def build_similarity_matrix(
-    tracks, topo: CameraTopology, cfg: MctConfig, scores: dict | None = None
-) -> np.ndarray:
+def build_similarity_matrix(tracks, topo: CameraTopology, cfg: MctConfig) -> np.ndarray:
     """Symmetric zero-diagonal matrix of rule-gated similarities.
 
-    Only pairs that pass the rule masks are scored.  `scores`, when given,
-    maps an ordered pair of existing-identity ids to their similarity: such a
-    pair is looked up there, and scored and stored on a miss.
+    Only pairs that pass the rule masks are scored.
     """
     cands = [t if isinstance(t, Candidate) else Candidate.from_track(t) for t in tracks]
     n = len(cands)
     matrix = np.zeros((n, n))
     rows, cols = np.nonzero(np.triu(_rule_mask(cands, topo, cfg), 1))
     for i, j in zip(rows.tolist(), cols.tolist()):
-        a, b = cands[i], cands[j]
-        if scores is None or a.existing_id is None or b.existing_id is None:
-            sim = candidate_similarity(a, b, topo, cfg)
-        else:
-            key = tuple(sorted((a.existing_id, b.existing_id)))
-            sim = scores.get(key)
-            if sim is None:
-                sim = scores[key] = candidate_similarity(a, b, topo, cfg)
-        matrix[i, j] = matrix[j, i] = sim
+        matrix[i, j] = matrix[j, i] = candidate_similarity(cands[i], cands[j], topo, cfg)
     return matrix
 
 
@@ -314,57 +313,21 @@ def hierarchical_cluster(tracks, matrix: np.ndarray) -> list[list[int]]:
 
 
 class MultiCameraStore:
-    """Active global identities; written only by the supervisor.
-
-    The store also caches, per identity object, its clustering candidate, and
-    the score of each pair of identities, for the (topology, config) the
-    scores were computed under.  An identity object is never modified: a
-    merge builds a new one, so a replaced or removed identity's entries are
-    stale and `prune` drops them.
-    """
+    """Active global identities; written only by the supervisor."""
 
     def __init__(self, next_id: int = 1):
         self.active: dict[int, MultiCameraTrack] = {}
         self._next_id = next_id
-        self._candidates: dict[int, tuple[MultiCameraTrack, Candidate]] = {}
-        self._scores: dict[tuple[int, int], float] = {}
-        self._rules: tuple[CameraTopology, MctConfig] | None = None
 
     def new_id(self) -> int:
         gid = self._next_id
         self._next_id += 1
         return gid
 
-    def candidates(self, topo: CameraTopology, cfg: MctConfig) -> list[Candidate]:
-        """One candidate per active identity, in global-id order, from the cache."""
-        if self._rules is None or self._rules[0] is not topo or self._rules[1] != cfg:
-            self._scores.clear()
-            self._rules = (topo, replace(cfg))
-        self.prune()
-        for gid, identity in self.active.items():
-            if gid not in self._candidates:
-                self._candidates[gid] = (identity, Candidate.from_identity(identity))
-        return [self._candidates[gid][1] for gid in sorted(self.active)]
-
-    def prune(self) -> None:
-        """Drop the cache entries of every identity replaced or removed since cached."""
-        stale = {
-            gid
-            for gid, (identity, _) in self._candidates.items()
-            if self.active.get(gid) is not identity
-        }
-        if stale:
-            for gid in stale:
-                del self._candidates[gid]
-            self._scores = {
-                k: v for k, v in self._scores.items() if k[0] not in stale and k[1] not in stale
-            }
-
     def drain(self) -> list[MultiCameraTrack]:
         """End of run: emit and clear every remaining identity."""
         out = [self.active[gid] for gid in sorted(self.active)]
         self.active.clear()
-        self.prune()
         return out
 
 
@@ -378,10 +341,9 @@ def supervisor_tick(
     """One supervisor round: cluster new tracks against held identities.
 
     Candidates are the tick's concluded tracks (camera-bias mitigated per
-    camera) plus one representative per active identity.  Identity
-    representatives and the scores between two unchanged identities come from
-    the store's caches, and only pairs that pass the masks of rules 1, 2 and 4
-    are scored, so the output equals scoring every pair.  Merged identities
+    camera) plus one representative per active identity, built once per
+    identity object.  Only pairs that pass the masks of rules 1, 2 and 4 are
+    scored, so the output equals scoring every pair.  Merged identities
     keep the smallest participating global id; clusters of only-new tracks
     get fresh ids.  Identities quiet for longer than flush_horizon are
     removed and returned as final.
@@ -397,13 +359,12 @@ def supervisor_tick(
         )
         new_tracks = [replace(t, embedding=e) for t, e in zip(new_tracks, adjusted)]
 
-    candidates = store.candidates(topo, cfg) + [Candidate.from_track(t) for t in new_tracks]
+    candidates = [store.active[gid].candidate for gid in sorted(store.active)]
+    candidates += [Candidate.from_track(t) for t in new_tracks]
 
     assignments: dict[tuple[str, int], int] = {}
     if candidates:
-        matrix = apply_min_threshold(
-            build_similarity_matrix(candidates, topo, cfg, store._scores), cfg.tau_min
-        )
+        matrix = apply_min_threshold(build_similarity_matrix(candidates, topo, cfg), cfg.tau_min)
         for cluster in hierarchical_cluster(candidates, matrix):
             members = [candidates[i] for i in cluster]
             existing = sorted(c.existing_id for c in members if c.existing_id is not None)
@@ -430,7 +391,6 @@ def supervisor_tick(
     ]
     for identity in flushed:
         del store.active[identity.global_id]
-    store.prune()
     return assignments, flushed
 
 

@@ -17,6 +17,8 @@ the multi-camera stage.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -48,6 +50,18 @@ class TrackerParams:
     iou_max_cost: float = 0.7
     gallery_budget: int = 100
     gating_threshold: float = kalman.GATING_THRESHOLD
+
+    def __post_init__(self):
+        for name, low in (("n_init", 1), ("max_age", 0), ("gallery_budget", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in ("matching_threshold", "iou_max_cost", "gating_threshold"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass

@@ -87,6 +87,23 @@ class TestRunErrors:
     def test_missing_scenario_dir(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "void")]) == 2
 
+    @pytest.mark.parametrize("section, name, value", [
+        ("tracker", "gallery_budget", -1),
+        ("tracker", "gallery_budget", 0),
+        ("tracker", "n_init", "3"),
+        ("mct", "tick_period", float("nan")),
+        ("mct", "v_max", float("nan")),
+    ])
+    def test_bad_setting_is_a_config_error(self, tmp_path, capsys, section, name, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "sim": {"seed": 1, "n_cams": 2, "n_vehicles": 3, "duration_s": 2.0},
+            section: {name: value},
+        }))
+        assert main(["run", "--config", str(path)]) == 2
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and name in line
+
     def test_non_integer_thread_cap(self, small_scenario, monkeypatch, capsys):
         monkeypatch.setenv("MCT_THREADS", "abc")
         assert main(["run", "--scenario", str(small_scenario), "--workers", "2"]) == 2

@@ -4,10 +4,10 @@ Geometry below lives on the equator where one metre is 1/111194.9266 of a
 longitude degree, so every distance used in a rule is a round number of
 metres.
 
-The rule-masked, identity-cached similarity path is checked against the plain
-double loop (`reference_similarity_matrix`) and against a supervisor store
-rebuilt without caches at every tick, on generated candidates and tick
-sequences.
+The rule-masked similarity path is checked against the plain double loop
+(`reference_similarity_matrix`), and the supervisor against a store rebuilt
+from fresh identity objects at every tick, so that no candidate cached on an
+identity can carry over; both on generated candidates and tick sequences.
 """
 
 import math
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcvt import mct
 from mcvt.errors import NonPositiveDt, UnknownCamera
 from mcvt.geo import CameraInfo, GeoPoint, Homography, make_topology
 from mcvt.ingest import Detection, VehicleClass
@@ -337,7 +336,7 @@ class TestSupervisor:
         assert assignments[("A", 1)] != assignments[("B", 1)]
 
 
-# ------------------------------------------------ masks and caches vs the plain loop
+# ------------------------------------- masks and cached candidates vs the plain loop
 
 
 def reference_similarity_matrix(tracks, topo, cfg):
@@ -424,33 +423,36 @@ def test_masked_matrix_equals_the_plain_loop(case):
             build_similarity_matrix(cands, topo, cfg)
         return
     assert (build_similarity_matrix(cands, topo, cfg) == expected).all()
-    # A score cache, cold and then warm, changes nothing.
-    scores: dict = {}
-    assert (build_similarity_matrix(cands, topo, cfg, scores) == expected).all()
-    assert (build_similarity_matrix(cands, topo, cfg, scores) == expected).all()
 
 
 def member_keys(identity):
     return sorted((t.camera, t.track_id) for t in identity.members)
 
 
-def assert_cache_holds_only_live_identities(store, gone):
-    for gid, (identity, _) in store._candidates.items():
-        assert store.active.get(gid) is identity
-    cached = set(store._candidates)
-    assert all(a in cached and b in cached for a, b in store._scores)
-    for gid in gone:
-        assert gid not in cached
+def candidate_key(c):
+    return (c.cameras, c.start_camera, c.end_camera, c.embedding.tobytes(), c.t_s, c.t_e,
+            c.l_s, c.l_e, [(t.camera, t.track_id) for t in c.tracks], c.existing_id)
+
+
+def rebuilt_identity(identity):
+    return MultiCameraTrack(identity.global_id, list(identity.members))
+
+
+def assert_candidates_are_current(store):
+    """Every held identity's candidate, built or not, is the one its members give."""
+    for identity in store.active.values():
+        assert candidate_key(identity.candidate) == \
+            candidate_key(Candidate.from_identity(rebuilt_identity(identity)))
 
 
 def run_against_rebuilt_store(ticks, topo):
     """Drive one store through `ticks` of (new tracks, now, cfg) and check
-    every tick against a cache-free store holding the same identities."""
+    every tick against a store of fresh identity objects with the same members."""
     store = MultiCameraStore()
     results = []
     for new_tracks, now, cfg in ticks:
         rebuilt = MultiCameraStore(next_id=store._next_id)
-        rebuilt.active = dict(store.active)
+        rebuilt.active = {g: rebuilt_identity(m) for g, m in store.active.items()}
         before = dict(store.active)
         assignments, flushed = supervisor_tick(store, new_tracks, now, topo, cfg)
         want_assignments, want_flushed = supervisor_tick(rebuilt, new_tracks, now, topo, cfg)
@@ -461,8 +463,7 @@ def run_against_rebuilt_store(ticks, topo):
         assert {g: member_keys(m) for g, m in store.active.items()} == {
             g: member_keys(m) for g, m in rebuilt.active.items()
         }
-        replaced = {g for g, m in before.items() if store.active.get(g) is not m}
-        assert_cache_holds_only_live_identities(store, replaced)
+        assert_candidates_are_current(store)
         results.append((assignments, flushed, before))
     return store, results
 
@@ -501,8 +502,8 @@ def test_cached_supervisor_matches_a_store_rebuilt_each_tick(data):
         for k, tracks in enumerate(deliveries)
     ]
     store, _ = run_against_rebuilt_store(ticks, topo)
-    store.drain()
-    assert store._candidates == {} and store._scores == {}
+    held = sorted(store.active)
+    assert [m.global_id for m in store.drain()] == held and store.active == {}
 
 
 def test_cached_supervisor_through_a_merge_and_a_flush():
@@ -525,47 +526,46 @@ def test_cached_supervisor_through_a_merge_and_a_flush():
     assert store.active == {}
 
 
-def test_unchanged_identities_are_never_rescored(monkeypatch):
+def test_identity_candidate_is_built_once_per_object(monkeypatch):
     topo = corridor4([("A", "B"), ("B", "C"), ("C", "D")], [])
     store = MultiCameraStore()
-    # Two identities that pass rules 1, 2 and 4 but differ in appearance:
-    # their pair is scored once, in the first tick that holds both.
-    supervisor_tick(store, [ct("A", 1, 0, 6, 0, 60), ct("B", 5, 15, 21, 150, 210, emb=-E1)],
-                    now=22.0, topo=topo, cfg=CFG)
-    supervisor_tick(store, [], now=23.0, topo=topo, cfg=CFG)
-    held = dict(store.active)
-    assert sorted(held) == [1, 2]
-
-    scored, built = [], []
-
-    def spy(a, b, topo, cfg):
-        scored.append((a, b))
-        return candidate_similarity(a, b, topo, cfg)
-
+    built = []
     from_identity = Candidate.from_identity
-    monkeypatch.setattr(mct, "candidate_similarity", spy)
     monkeypatch.setattr(
         Candidate, "from_identity",
         classmethod(lambda cls, identity: built.append(identity) or from_identity(identity)),
     )
-    supervisor_tick(store, [], now=24.0, topo=topo, cfg=CFG)
-    assert scored == [] and built == [] and store.active == held
+    # Two identities that pass rules 1, 2 and 4 but differ in appearance.
+    supervisor_tick(store, [ct("A", 1, 0, 6, 0, 60), ct("B", 5, 15, 21, 150, 210, emb=-E1)],
+                    now=22.0, topo=topo, cfg=CFG)
+    assert sorted(store.active) == [1, 2] and built == []
+    first = dict(store.active)
+    for now in (23.0, 24.0):
+        supervisor_tick(store, [], now=now, topo=topo, cfg=CFG)
+        assert store.active == first
+    assert [m.global_id for m in built] == [1, 2]
+    assert all(m is first[m.global_id] for m in built)
+    # A merge builds a new identity 2; only its candidate is built afterwards.
     assignments, _ = supervisor_tick(
         store, [ct("C", 1, 30, 36, 300, 360, emb=-E1)], now=37.0, topo=topo, cfg=CFG
     )
-    assert assignments == {("C", 1): 2}
-    assert scored and all(a.existing_id is None or b.existing_id is None for a, b in scored)
+    assert assignments == {("C", 1): 2} and store.active[2] is not first[2]
+    for now in (38.0, 39.0):
+        supervisor_tick(store, [], now=now, topo=topo, cfg=CFG)
+    assert [m.global_id for m in built] == [1, 2, 2]
+    assert built[2] is store.active[2]
+    assert len({id(m) for m in built}) == len(built)
 
 
-def test_score_cache_is_dropped_when_the_rules_change():
+def test_rule_change_reaches_held_identities():
     topo = corridor4([("A", "B"), ("B", "C"), ("C", "D")], [])
     store = MultiCameraStore()
-    # An oncoming B track: rules 1, 2 and 4 pass, so the pair of held
-    # identities is scored (0.0 by rule 5) and cached.
+    # An oncoming B track: rules 1, 2 and 4 pass, rule 5 keeps the two
+    # held identities apart for as long as it is on.
     supervisor_tick(store, [ct("A", 1, 0, 6, 0, 60), ct("B", 1, 15, 21, 210, 150)],
                     now=22.0, topo=topo, cfg=CFG)
     supervisor_tick(store, [], now=23.0, topo=topo, cfg=CFG)
-    assert sorted(store.active) == [1, 2] and store._scores == {(1, 2): 0.0}
+    assert sorted(store.active) == [1, 2]
     # Without rule 5 the same two identities match.
     supervisor_tick(store, [], now=24.0, topo=topo, cfg=MctConfig(use_direction=False))
     assert sorted(store.active) == [1]
@@ -603,3 +603,7 @@ def test_config_validation():
         MctConfig(tick_period=-1.0)
     with pytest.raises(ValueError):
         MctConfig(bias_lambda=2.0)
+    for name in ("tau_min", "v_max", "flush_horizon", "tick_period", "bias_lambda"):
+        for value in (math.nan, math.inf, "1"):
+            with pytest.raises(ValueError, match=name):
+                MctConfig(**{name: value})

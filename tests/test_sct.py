@@ -222,6 +222,23 @@ class TestTrackerLifecycle:
             tr.step(frame_of("c", k, [det_at(100 + k, 100)], [E1]))
         assert len(tr.tracks[0].gallery) == 4
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("n_init", 0, ValueError),
+        ("n_init", "3", TypeError),
+        ("n_init", True, TypeError),
+        ("max_age", -1, ValueError),
+        ("max_age", 2.0, TypeError),
+        ("gallery_budget", 0, ValueError),
+        ("matching_threshold", float("nan"), ValueError),
+        ("iou_max_cost", -0.1, ValueError),
+        ("gating_threshold", float("inf"), ValueError),
+        ("gating_threshold", "9.5", ValueError),
+    ])
+    def test_params_validation(self, field, value, error):
+        with pytest.raises(error, match=field):
+            TrackerParams(**{field: value})
+        TrackerParams(n_init=1, max_age=0, gallery_budget=1, iou_max_cost=0.0)
+
     def test_reacquisition_after_short_gap(self):
         # A confirmed track missed for a few frames must reattach through the
         # appearance cascade when the object reappears nearby.

@@ -33,8 +33,6 @@ def _cmd_run(args) -> int:
         raise ConfigError("run needs --config or --scenario")
     if args.out:
         cfg.out_dir = args.out
-    if args.workers:
-        cfg.workers = args.workers
     if args.real_time:
         cfg.real_time = True
     if args.seed is not None:
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--scenario", help="scenario directory (shortcut for a default config)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--workers", type=int, default=0)
     p.add_argument("--real-time", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_run)

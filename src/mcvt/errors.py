@@ -71,10 +71,6 @@ class OutOfRange(McvtError):
     """Argument outside its documented range."""
 
 
-class InsufficientIdentities(McvtError):
-    """Batch sampling needs at least K identities."""
-
-
 # simkit
 class InvalidLayout(McvtError):
     """Unknown scenario layout."""

@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from .errors import DegenerateBatch, InsufficientIdentities, OutOfRange
+from .errors import DegenerateBatch, OutOfRange
 
 DEFAULT_MARGIN = 0.3
 DEFAULT_EPSILON = 0.1
@@ -127,32 +127,3 @@ def excitation_schedule(m: float, total: int) -> float:
         raise OutOfRange(f"epoch {m} outside [0, {total}]")
     return 0.5 * (1.0 + math.cos(math.pi * m / total))
 
-
-def sample_batch(dataset, k: int, length: int, seed: int):
-    """Plan a K-identity, L-frame batch from an id -> list-of-tracks mapping.
-
-    Each track is an ordered sequence of frame references.  Picks K distinct
-    identities, one track per identity, and L frame positions per track
-    (without replacement when the track is long enough, with replacement
-    otherwise), returned in temporal order.  Deterministic under seed.
-
-    Returns a list of (identity, track_index, frame_positions) triples.
-    """
-    if k < 1 or length < 1:
-        raise ValueError("k and length must be positive")
-    identities = sorted(dataset)
-    if len(identities) < k:
-        raise InsufficientIdentities(f"{len(identities)} identities, need {k}")
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(identities), size=k, replace=False)
-    plan = []
-    for idx in chosen:
-        identity = identities[int(idx)]
-        tracks = dataset[identity]
-        if not tracks:
-            raise InsufficientIdentities(f"identity {identity} has no tracks")
-        ti = int(rng.integers(len(tracks)))
-        track = tracks[ti]
-        positions = rng.choice(len(track), size=length, replace=len(track) < length)
-        plan.append((identity, ti, tuple(int(p) for p in np.sort(positions))))
-    return plan

@@ -55,6 +55,10 @@ class MctConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("use_adjacency", "use_direction"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be true or false, got {value!r}")
         if not 0.0 <= self.tau_min <= 1.0:
             raise ValueError(f"tau_min must be in [0, 1], got {self.tau_min}")
         if self.v_max <= 0:

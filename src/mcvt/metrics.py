@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .errors import MalformedInput
 from .ingest import Detection, iou
 
 # id -> [(camera, frame, box), ...]
@@ -191,29 +192,45 @@ def _identity_counts(gt: TrajectorySet, pred: TrajectorySet, pred_frames, thresh
 
 def load_mot_trajectories(path, camera: str = "") -> TrajectorySet:
     """Read `frame,id,x,y,w,h,...` rows (MOTChallenge shape, 1-based or 0-based
-    frames both fine — values are kept as written)."""
+    frames both fine — values are kept as written).  A row that does not parse
+    raises MalformedInput naming the file and line."""
     traj: TrajectorySet = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            frame, tid = int(row[0]), int(row[1])
-            x, y, w, h = (float(v) for v in row[2:6])
-            det = Detection(x, y, x + w, y + h, alpha=1.0)
+            try:
+                frame, tid = int(row[0]), int(row[1])
+                x, y, w, h = (float(v) for v in row[2:6])
+                det = Detection(x, y, x + w, y + h, alpha=1.0)
+            except (IndexError, ValueError) as exc:
+                raise MalformedInput(
+                    f"{path}, line {reader.line_num}: bad row {','.join(row)!r}"
+                    f" (expected frame,id,x,y,w,h: {exc})"
+                ) from None
             traj.setdefault(tid, []).append((camera, frame, det))
     return traj
 
 
 def load_global_trajectories(path) -> TrajectorySet:
-    """Read `camera,frame,global_id,x,y,w,h` rows."""
+    """Read `camera,frame,global_id,x,y,w,h` rows.  A row that does not parse
+    raises MalformedInput naming the file and line."""
     traj: TrajectorySet = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            camera, frame, gid = row[0], int(row[1]), int(row[2])
-            x, y, w, h = (float(v) for v in row[3:7])
-            det = Detection(x, y, x + w, y + h, alpha=1.0)
+            try:
+                camera, frame, gid = row[0], int(row[1]), int(row[2])
+                x, y, w, h = (float(v) for v in row[3:7])
+                det = Detection(x, y, x + w, y + h, alpha=1.0)
+            except (IndexError, ValueError) as exc:
+                raise MalformedInput(
+                    f"{path}, line {reader.line_num}: bad row {','.join(row)!r}"
+                    f" (expected camera,frame,global_id,x,y,w,h: {exc})"
+                ) from None
             traj.setdefault(gid, []).append((camera, frame, det))
     return traj
 

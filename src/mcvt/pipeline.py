@@ -12,18 +12,18 @@ one tick, supervisor included, in every mode.
 
 Offline runs use a VirtualClock, whose time moves only when the engine waits:
 processing takes no time, so nothing is ever dropped and the output is a pure
-function of the config, identical for any worker count.  Real-time runs
-(``real_time=True``) use a WallClock, so frames arrive at the cameras' pace
-and a backlog beyond a deque's capacity drops the oldest frames.
+function of the config.  Real-time runs (``real_time=True``) use a WallClock,
+so frames arrive at the cameras' pace and a backlog beyond a deque's capacity
+drops the oldest frames.  The engine starts no thread: ``workers`` is still
+accepted and validated, so existing configs keep loading, but changes nothing.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import numbers
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,7 +56,7 @@ class PipelineConfig:
     tracker: TrackerParams = field(default_factory=TrackerParams)
     mct: MctConfig = field(default_factory=MctConfig)
     real_time: bool = False
-    workers: int = 1
+    workers: int = 1  # ignored: the engine is single-threaded
     out_dir: str | None = None
     scorer_path: str | None = None  # learned temporal scorer weights (EMB1 x2)
 
@@ -65,6 +65,10 @@ class PipelineConfig:
             raise ConfigError(f"alpha_min must be in [0, 1], got {self.alpha_min}")
         if self.nms_iou is not None and not 0.0 <= self.nms_iou <= 1.0:
             raise ConfigError(f"nms_iou must be in [0, 1], got {self.nms_iou}")
+        if not isinstance(self.real_time, bool):
+            raise ConfigError(f"real_time must be true or false, got {self.real_time!r}")
+        if isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral):
+            raise ConfigError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if (self.scenario_dir is None) == (self.sim is None):
@@ -170,15 +174,6 @@ def _load_source(cfg: PipelineConfig):
     return scenario.topology, streams, scenario.fps, scenario.n_frames
 
 
-def _worker_count(cfg: PipelineConfig, n_cams: int) -> int:
-    cap = os.environ.get("MCT_THREADS")
-    try:
-        limit = int(cap) if cap else cfg.workers
-    except ValueError:
-        raise ConfigError(f"MCT_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(cfg.workers, limit, n_cams))
-
-
 def _prepare(frame: FrameRecord, cfg: PipelineConfig) -> FrameRecord:
     """Confidence filter then optional NMS, embeddings kept aligned."""
     keep = filter_confidence_indices(frame.detections, cfg.alpha_min)
@@ -232,7 +227,6 @@ def run(cfg: PipelineConfig, provider=None, clock=None) -> RunReport:
 
 def _run_engine(cfg, topo, streams, fps, n_frames, trackers, provider, clock):
     cameras = sorted(streams)
-    n_workers = _worker_count(cfg, len(cameras))
     capacity = max(1, int(QUEUE_SECONDS * fps))
     queues = {cid: deque(maxlen=capacity) for cid in cameras}
     processed = dict.fromkeys(cameras, 0)
@@ -245,52 +239,40 @@ def _run_engine(cfg, topo, streams, fps, n_frames, trackers, provider, clock):
     released = 0  # frame i of every camera is due at i / fps
     start = clock.now()
 
-    def step_camera(record: FrameRecord):
-        _, concluded = trackers[record.camera].step(record)
-        return concluded
+    while released < n_frames or any(queues.values()):
+        now = clock.now() - start
+        while released < n_frames and released / fps <= now:
+            for cid in cameras:
+                if len(queues[cid]) == capacity:
+                    dropped[cid] += 1  # the append evicts the oldest frame
+                queues[cid].append(streams[cid][released])
+            released += 1
+        if not any(queues.values()):
+            clock.sleep_until(start + released / fps)
+            continue
 
-    pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
-    try:
-        while released < n_frames or any(queues.values()):
-            now = clock.now() - start
-            while released < n_frames and released / fps <= now:
-                for cid in cameras:
-                    if len(queues[cid]) == capacity:
-                        dropped[cid] += 1  # the append evicts the oldest frame
-                    queues[cid].append(streams[cid][released])
-                released += 1
-            if not any(queues.values()):
-                clock.sleep_until(start + released / fps)
-                continue
-
-            tick_started = time.perf_counter()
-            frames = [_prepare(queues[cid].popleft(), cfg) for cid in cameras if queues[cid]]
-            batch = TickBatch(tick=len(latencies), frames=frames)
-            for record, emb in zip(batch.frames, provider(batch)):
-                if record.detections and emb is None:
-                    raise SourceMissing(
-                        f"camera {record.camera}: detections without embeddings"
-                    )
-                record.embeddings = emb
-            if pool is not None:
-                results = list(pool.map(step_camera, batch.frames))
-            else:
-                results = [step_camera(record) for record in batch.frames]
-            for record, concluded in zip(batch.frames, results):
-                processed[record.camera] += 1
-                n_concluded += len(concluded)
-                pending.extend(concluded)
-            now = clock.now() - start
-            if now >= (sup_count * sup_every - 1) / fps:
-                _, flushed = supervisor_tick(store, pending, now, topo, cfg.mct)
-                pending = []
-                finished.extend(flushed)
-                while (sup_count * sup_every - 1) / fps <= now:
-                    sup_count += 1
-            latencies.append(time.perf_counter() - tick_started)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        tick_started = time.perf_counter()
+        frames = [_prepare(queues[cid].popleft(), cfg) for cid in cameras if queues[cid]]
+        batch = TickBatch(tick=len(latencies), frames=frames)
+        for record, emb in zip(batch.frames, provider(batch)):
+            if record.detections and emb is None:
+                raise SourceMissing(
+                    f"camera {record.camera}: detections without embeddings"
+                )
+            record.embeddings = emb
+        for record in batch.frames:
+            _, concluded = trackers[record.camera].step(record)
+            processed[record.camera] += 1
+            n_concluded += len(concluded)
+            pending.extend(concluded)
+        now = clock.now() - start
+        if now >= (sup_count * sup_every - 1) / fps:
+            _, flushed = supervisor_tick(store, pending, now, topo, cfg.mct)
+            pending = []
+            finished.extend(flushed)
+            while (sup_count * sup_every - 1) / fps <= now:
+                sup_count += 1
+        latencies.append(time.perf_counter() - tick_started)
 
     # The stream ends one frame period after its last frame is due.
     clock.sleep_until(start + n_frames / fps)

@@ -93,22 +93,25 @@ class TestRunErrors:
         ("tracker", "n_init", "3"),
         ("mct", "tick_period", float("nan")),
         ("mct", "v_max", float("nan")),
+        ("mct", "use_direction", "no"),
+        ("mct", "use_adjacency", 1),
+        (None, "real_time", "no"),
+        (None, "workers", True),
+        (None, "workers", 2.5),
     ])
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, section, name, value):
+        cfg = {"sim": {"seed": 1, "n_cams": 2, "n_vehicles": 3, "duration_s": 2.0}}
+        cfg.update({name: value} if section is None else {section: {name: value}})
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "sim": {"seed": 1, "n_cams": 2, "n_vehicles": 3, "duration_s": 2.0},
-            section: {name: value},
-        }))
+        path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 2
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and name in line
 
-    def test_non_integer_thread_cap(self, small_scenario, monkeypatch, capsys):
-        monkeypatch.setenv("MCT_THREADS", "abc")
-        assert main(["run", "--scenario", str(small_scenario), "--workers", "2"]) == 2
-        (line,) = error_lines(capsys)
-        assert line.startswith("error: ") and "MCT_THREADS" in line
+    def test_workers_flag_is_gone(self, small_scenario):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", str(small_scenario), "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_malformed_detection_row(self, small_scenario, capsys):
         with open(small_scenario / "det_c001.csv", "a") as fh:
@@ -152,6 +155,26 @@ class TestGenScenarioErrors:
     def test_grid_needs_exact_factorization(self, tmp_path):
         assert main(["gen-scenario", "--seed", "0", "--cams", "5",
                      "--layout", "grid", "--out", str(tmp_path / "x")]) == 2
+
+
+class TestEvalTrackErrors:
+    """A trajectory row that does not parse is a runtime failure."""
+
+    def test_malformed_sct_ground_truth_row(self, small_scenario, tmp_path, capsys):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("0,1,10.0,10.0,20.0,20.0\nx,2,1,1,1,1\n")
+        assert main(["eval-sct", "--gt", str(gt),
+                     "--pred", str(small_scenario / "gt_c001.csv")]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "gt.csv, line 2" in line
+
+    def test_malformed_global_track_row(self, small_scenario, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("c001,0,1,10.0,10.0,20.0,20.0\nc001,1,5\n")
+        assert main(["eval-mct", "--scenario", str(small_scenario),
+                     "--pred", str(pred)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "pred.csv, line 2" in line
 
 
 class TestEvalReid:

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mcvt.errors import DegenerateBatch, InsufficientIdentities, OutOfRange
+from mcvt.errors import DegenerateBatch, OutOfRange
 from mcvt.losses import (
     batch_hard_triplet,
     batch_hard_triplet_with_grad,
     excitation_schedule,
-    sample_batch,
     smooth_targets,
     smoothed_cross_entropy,
     smoothed_cross_entropy_with_grad,
@@ -147,48 +146,3 @@ class TestExcitationSchedule:
             excitation_schedule(11, 10)
         with pytest.raises(ValueError):
             excitation_schedule(0, 0)
-
-
-class TestSampleBatch:
-    DATASET = {
-        "id1": [list(range(10)), list(range(4))],
-        "id2": [list(range(6))],
-        "id3": [list(range(12))],
-        "id4": [list(range(3))],
-    }
-
-    def test_deterministic_under_seed(self):
-        a = sample_batch(self.DATASET, k=3, length=4, seed=123)
-        b = sample_batch(self.DATASET, k=3, length=4, seed=123)
-        assert a == b
-        c = sample_batch(self.DATASET, k=3, length=4, seed=124)
-        assert a != c  # overwhelmingly likely for this dataset
-
-    def test_shape_and_ordering(self):
-        plan = sample_batch(self.DATASET, k=4, length=3, seed=0)
-        assert len(plan) == 4
-        assert {identity for identity, _, _ in plan} == set(self.DATASET)
-        for identity, ti, positions in plan:
-            track = self.DATASET[identity][ti]
-            assert len(positions) == 3
-            assert list(positions) == sorted(positions)
-            assert all(0 <= p < len(track) for p in positions)
-
-    def test_without_replacement_when_long_enough(self):
-        plan = sample_batch({"a": [list(range(50))], "b": [list(range(50))]}, 2, 8, 7)
-        for _, _, positions in plan:
-            assert len(set(positions)) == 8
-
-    def test_short_track_resamples(self):
-        plan = sample_batch({"a": [[0, 1]], "b": [[0, 1]]}, k=2, length=5, seed=0)
-        for _, _, positions in plan:
-            assert len(positions) == 5
-            assert set(positions) <= {0, 1}
-
-    def test_insufficient_identities(self):
-        with pytest.raises(InsufficientIdentities):
-            sample_batch(self.DATASET, k=5, length=2, seed=0)
-        with pytest.raises(InsufficientIdentities):
-            sample_batch({"a": []}, k=1, length=2, seed=0)
-        with pytest.raises(ValueError):
-            sample_batch(self.DATASET, k=0, length=2, seed=0)

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcvt.ingest import Detection
 from mcvt.metrics import (
@@ -195,6 +197,32 @@ def test_identity_scores_match_brute_force():
         s = evaluate_mota(gt, pred)
         assert s.idtp == want[3], f"trial {trial}"
         assert (idp, idr, idf1) == want[:3], f"trial {trial}"
+
+
+# Box x positions: neighbours 3 px apart overlap with IoU 0.54, so one box can
+# match several; 20 overlaps none of the others.
+XS = (0.0, 3.0, 6.0, 20.0)
+
+
+def trajectory_sets(first_id):
+    """Up to three ids, each seen at up to four distinct (camera, frame) keys."""
+    key = st.tuples(st.sampled_from(("x", "y")), st.integers(0, 3))
+    track = st.dictionaries(key, st.sampled_from(XS), min_size=1, max_size=4)
+    return st.lists(track, max_size=3).map(lambda tracks: {
+        first_id + i: [(camera, frame, box(x)) for (camera, frame), x in sorted(t.items())]
+        for i, t in enumerate(tracks)
+    })
+
+
+@given(trajectory_sets(1), trajectory_sets(100))
+def test_identity_counts_match_brute_force_on_generated_sets(gt, pred):
+    idp, idr, idf1, best = brute_force_identity(gt, pred)
+    total_gt = sum(len(v) for v in gt.values())
+    total_pred = sum(len(v) for v in pred.values())
+    s = evaluate_mota(gt, pred)
+    assert (s.idtp, s.idfp, s.idfn) == (best, total_pred - best, total_gt - best)
+    assert (s.idp, s.idr, s.idf1) == (idp, idr, idf1)
+    assert evaluate_identity(gt, pred) == (idp, idr, idf1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Pipeline orchestration: config handling, offline runs, real-time pacing."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from mcvt.pipeline import (
     PipelineConfig,
     RunReport,
     VirtualClock,
-    _worker_count,
     run,
 )
 from mcvt.reid import TemporalScorer
@@ -64,10 +64,15 @@ class TestConfig:
         {"alpha_min": 1.5},
         {"nms_iou": 2.0},
         {"workers": 0},
+        {"workers": True},
+        {"workers": 2.0},
+        {"real_time": "no"},
+        {"mct": {"use_direction": "no"}},
+        {"mct": {"use_adjacency": 0}},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
-            PipelineConfig(scenario_dir="x", **kw)
+            PipelineConfig.from_dict({"scenario_dir": "x", **kw})
 
     def test_from_dict_nested_sections(self):
         cfg = PipelineConfig.from_dict({
@@ -99,18 +104,6 @@ class TestConfig:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(bad)
-
-    def test_worker_count_respects_env_cap(self, monkeypatch):
-        cfg = PipelineConfig(scenario_dir="x", workers=8)
-        monkeypatch.delenv("MCT_THREADS", raising=False)
-        assert _worker_count(cfg, n_cams=4) == 4  # never more than cameras
-        monkeypatch.setenv("MCT_THREADS", "2")
-        assert _worker_count(cfg, n_cams=4) == 2
-        monkeypatch.setenv("MCT_THREADS", "16")
-        assert _worker_count(cfg, n_cams=16) == 8  # env can only lower it
-        monkeypatch.setenv("MCT_THREADS", "abc")
-        with pytest.raises(ConfigError, match="MCT_THREADS"):
-            _worker_count(cfg, n_cams=4)
 
 
 class TestOffline:
@@ -144,20 +137,13 @@ class TestOffline:
         _, _, idf1 = evaluate_identity(gt, pred)
         assert idf1 >= 0.95
 
-    def test_worker_count_does_not_change_output(self, noisy_dir, tmp_path):
-        blobs = []
-        for workers in (1, 4):
-            out = tmp_path / f"w{workers}"
-            cfg = PipelineConfig(scenario_dir=str(noisy_dir), out_dir=str(out),
-                                 workers=workers)
-            run(cfg)
-            blobs.append({
-                name.name: name.read_bytes()
-                for name in sorted(out.iterdir()) if name.name != "report.json"
-            })
-        assert blobs[0].keys() == blobs[1].keys()
-        for name in blobs[0]:
-            assert blobs[0][name] == blobs[1][name], name
+    def test_engine_starts_no_thread(self, noisy_dir, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the engine started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        report = run(PipelineConfig(scenario_dir=str(noisy_dir), workers=4))
+        assert report.frames == {"c001": 300, "c002": 300}
 
     def test_sim_source_runs_in_memory(self):
         cfg = PipelineConfig(sim={

@@ -7,6 +7,13 @@ to box height.  The one behavioural departure: after each update the
 positional components of the posterior mean are replaced by the matched
 observation exactly, keeping the detector's box instead of the smoothed one;
 velocities keep their filtered values.
+
+The filter works on stacks: ``predict_many``, ``project_many`` and
+``update_many`` take (T, 8) means and (T, 8, 8) covariances, so the tracker
+steps every track of every camera of a tick in one call each.  Every row
+gets the same operations as a one-state filter would apply, so a stacked
+result equals the one-state result bit for bit; ``kf_predict`` and
+``kf_update`` are the one-state calls into the stacked forms.
 """
 
 from __future__ import annotations
@@ -90,98 +97,118 @@ def kf_initiate(obs: Observation) -> KalmanState:
     return KalmanState(mean=mean, cov=np.diag(np.square(std)))
 
 
-def _process_noise(h: float) -> np.ndarray:
-    std = [
-        _STD_WEIGHT_POSITION * h,
-        _STD_WEIGHT_POSITION * h,
-        _STD_ASPECT,
-        _STD_WEIGHT_POSITION * h,
-        _STD_WEIGHT_VELOCITY * h,
-        _STD_WEIGHT_VELOCITY * h,
-        _STD_ASPECT_VEL,
-        _STD_WEIGHT_VELOCITY * h,
-    ]
-    return np.diag(np.square(std))
+def _noise_variances(heights: np.ndarray) -> np.ndarray:
+    """(T, 8) process noise variances for T box heights.
+
+    The first four columns are also the measurement noise variances.
+    """
+    h = heights[:, None]
+    std = np.empty((len(heights), 8))
+    std[:, [0, 1, 3]] = _STD_WEIGHT_POSITION * h
+    std[:, 2] = _STD_ASPECT
+    std[:, [4, 5, 7]] = _STD_WEIGHT_VELOCITY * h
+    std[:, 6] = _STD_ASPECT_VEL
+    return np.square(std)
 
 
-def _measurement_noise(h: float) -> np.ndarray:
-    std = [
-        _STD_WEIGHT_POSITION * h,
-        _STD_WEIGHT_POSITION * h,
-        _STD_ASPECT,
-        _STD_WEIGHT_POSITION * h,
-    ]
-    return np.diag(np.square(std))
+def _add_to_diagonal(covs: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    idx = np.arange(covs.shape[-1])
+    covs[:, idx, idx] += variances
+    return covs
+
+
+def _cholesky(covs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovation(str(exc)) from exc
+
+
+def predict_many(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One constant-velocity step of T stacked states: (T, 8) means, (T, 8, 8) covs.
+
+    The covariance grows by a process noise scaled by each state's
+    pre-predict height ``mean[3]``.
+    """
+    return means @ _F.T, _add_to_diagonal(_F @ covs @ _F.T, _noise_variances(means[:, 3]))
+
+
+def project_many(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted observation distributions of T stacked states: (T, 4), (T, 4, 4)."""
+    noise = _noise_variances(means[:, 3])[:, :4]
+    return means[:, :4].copy(), _add_to_diagonal(covs[:, :4, :4].copy(), noise)
+
+
+def update_many(
+    means: np.ndarray, covs: np.ndarray, observations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman update of T stacked states by (T, 4) observations, then keep the boxes.
+
+    Each state's gain comes from a Cholesky of its innovation covariance and
+    two solves against that factor.  The covariance keeps its standard
+    posterior value and the velocities their filtered estimates; only
+    mean[:, 0:4] is replaced by the observation.  Raises SingularInnovation
+    if any innovation covariance is not positive definite.
+    """
+    proj_means, proj_covs = project_many(means, covs)
+    chol = _cholesky(proj_covs)
+    # gain K = cov H^T S^-1 via two triangular solves
+    kt = np.linalg.solve(
+        np.swapaxes(chol, 1, 2), np.linalg.solve(chol, np.swapaxes(covs @ _H.T, 1, 2))
+    )
+    gain = np.swapaxes(kt, 1, 2)
+    innovations = observations - proj_means
+    means = means + (gain @ innovations[:, :, None])[:, :, 0]
+    covs = covs - gain @ proj_covs @ np.swapaxes(gain, 1, 2)
+    covs = (covs + np.swapaxes(covs, 1, 2)) / 2.0
+    means[:, :4] = observations
+    return means, covs
 
 
 def kf_predict(s: KalmanState) -> KalmanState:
-    """One constant-velocity step; covariance grows by the process noise."""
-    mean = _F @ s.mean
-    cov = _F @ s.cov @ _F.T + _process_noise(s.mean[3])
-    return KalmanState(mean=mean, cov=cov)
-
-
-def project(s: KalmanState) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted observation distribution (mean, covariance)."""
-    mean = _H @ s.mean
-    cov = _H @ s.cov @ _H.T + _measurement_noise(s.mean[3])
-    return mean, cov
+    """One-state form of ``predict_many``."""
+    means, covs = predict_many(s.mean[None], s.cov[None])
+    return KalmanState(mean=means[0], cov=covs[0])
 
 
 def kf_update(s: KalmanState, obs: Observation) -> KalmanState:
-    """Kalman gain update, then overwrite the positional mean with the observation.
+    """One-state form of ``update_many``."""
+    means, covs = update_many(s.mean[None], s.cov[None], obs.as_vector()[None])
+    return KalmanState(mean=means[0], cov=covs[0])
 
-    The covariance keeps its standard posterior value and the velocity
-    components keep their filtered estimates; only mean[0:4] is replaced.
+
+def innovation_factors(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected means (T, 4) and lower Cholesky factors (T, 4, 4) of T states'
+    innovation covariances, the per-state part of gating."""
+    proj_means, proj_covs = project_many(means, covs)
+    return proj_means, _cholesky(proj_covs)
+
+
+def mahalanobis_matrix(factors, measurements: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances (T, N) of N measurements from T factored states.
+
+    ``factors`` is the ``innovation_factors`` pair; the (T, 4, N) innovations
+    are solved against all T factors at once.
     """
-    proj_mean, proj_cov = project(s)
-    try:
-        chol = np.linalg.cholesky(proj_cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation(str(exc)) from exc
-    # gain K = cov H^T S^-1 via two triangular solves
-    kt = np.linalg.solve(chol.T, np.linalg.solve(chol, (s.cov @ _H.T).T))
-    gain = kt.T
-    innovation = obs.as_vector() - proj_mean
-    mean = s.mean + gain @ innovation
-    cov = s.cov - gain @ proj_cov @ gain.T
-    cov = (cov + cov.T) / 2.0
-    mean[:4] = obs.as_vector()
-    return KalmanState(mean=mean, cov=cov)
+    proj_means, chol = factors
+    innovations = np.asarray(measurements, dtype=float).T[None, :, :] - proj_means[:, :, None]
+    z = np.linalg.solve(chol, innovations)
+    return np.sum(z * z, axis=1)
 
 
-def squared_mahalanobis(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
-    """Squared Mahalanobis distance of x from N(mean, cov)."""
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation(str(exc)) from exc
-    z = np.linalg.solve(chol, np.asarray(x, dtype=float) - mean)
-    return float(z @ z)
+def stack_states(states) -> tuple[np.ndarray, np.ndarray]:
+    """(T, 8) means and (T, 8, 8) covariances of T states."""
+    states = list(states)
+    return np.stack([s.mean for s in states]), np.stack([s.cov for s in states])
 
 
 def gating_matrix(states, measurements: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distances of N measurements against T projected states.
 
-    ``measurements`` is an (N, 4) array of (u, v, r, h) rows.  The T states are
-    projected together, factorised by one Cholesky over the (T, 4, 4) stack and
-    solved against all (T, 4, N) innovations at once; entry [t, n] is the
-    distance of measurement n from state t, as ``project`` followed by
-    ``squared_mahalanobis`` gives it for one pair.
+    ``measurements`` is an (N, 4) array of (u, v, r, h) rows; entry [t, n] is
+    the distance of measurement n from state t.
     """
-    means = np.stack([s.mean[:4] for s in states])
-    covs = np.stack([s.cov[:4, :4] for s in states])
-    std = np.repeat(_STD_WEIGHT_POSITION * means[:, 3:4], 4, axis=1)  # _measurement_noise
-    std[:, 2] = _STD_ASPECT
-    idx = np.arange(4)
-    covs[:, idx, idx] += np.square(std)
-    try:
-        chol = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation(str(exc)) from exc
-    innovations = np.asarray(measurements, dtype=float).T[None, :, :] - means[:, :, None]
-    z = np.linalg.solve(chol, innovations)
-    return np.sum(z * z, axis=1)
+    return mahalanobis_matrix(innovation_factors(*stack_states(states)), measurements)
 
 
 def box_observations(boxes: np.ndarray) -> np.ndarray:
@@ -194,7 +221,7 @@ def gating_distance(s: KalmanState, obs: Observation) -> float:
     """Squared Mahalanobis distance of one observation against the projected state.
 
     The one-pair form of ``gating_matrix``; the tracker gates a whole camera
-    frame with one ``gating_matrix`` call instead.  The association gate
+    frame with one ``mahalanobis_matrix`` call instead.  The association gate
     passes iff the value is <= GATING_THRESHOLD.
     """
     return float(gating_matrix([s], obs.as_vector()[None])[0, 0])

@@ -53,7 +53,11 @@ class MctConfig:
     def __post_init__(self):
         for name in ("tau_min", "v_max", "flush_horizon", "tick_period", "bias_lambda"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("use_adjacency", "use_direction"):
             value = getattr(self, name)

@@ -190,11 +190,19 @@ def _identity_counts(gt: TrajectorySet, pred: TrajectorySet, pred_frames, thresh
     return idp, idr, idf1, idtp, idfp, idfn
 
 
+def _repeated_id(path, line: int, row: list[str]) -> MalformedInput:
+    return MalformedInput(
+        f"{path}, line {line}: row {','.join(row)!r} repeats an id already seen in its frame"
+    )
+
+
 def load_mot_trajectories(path, camera: str = "") -> TrajectorySet:
     """Read `frame,id,x,y,w,h,...` rows (MOTChallenge shape, 1-based or 0-based
     frames both fine — values are kept as written).  A row that does not parse
-    raises MalformedInput naming the file and line."""
+    raises MalformedInput naming the file and line, and so does a second row
+    for one id in one frame."""
     traj: TrajectorySet = {}
+    seen: set[tuple[int, int]] = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -209,14 +217,20 @@ def load_mot_trajectories(path, camera: str = "") -> TrajectorySet:
                     f"{path}, line {reader.line_num}: bad row {','.join(row)!r}"
                     f" (expected frame,id,x,y,w,h: {exc})"
                 ) from None
+            key = (frame, tid)
+            if key in seen:
+                raise _repeated_id(path, reader.line_num, row)
+            seen.add(key)
             traj.setdefault(tid, []).append((camera, frame, det))
     return traj
 
 
 def load_global_trajectories(path) -> TrajectorySet:
     """Read `camera,frame,global_id,x,y,w,h` rows.  A row that does not parse
-    raises MalformedInput naming the file and line."""
+    raises MalformedInput naming the file and line, and so does a second row
+    for one id in one camera frame."""
     traj: TrajectorySet = {}
+    seen: set[tuple[str, int, int]] = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -231,6 +245,10 @@ def load_global_trajectories(path) -> TrajectorySet:
                     f"{path}, line {reader.line_num}: bad row {','.join(row)!r}"
                     f" (expected camera,frame,global_id,x,y,w,h: {exc})"
                 ) from None
+            key = (camera, frame, gid)
+            if key in seen:
+                raise _repeated_id(path, reader.line_num, row)
+            seen.add(key)
             traj.setdefault(gid, []).append((camera, frame, det))
     return traj
 

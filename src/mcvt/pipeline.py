@@ -5,9 +5,11 @@ and ``sleep_until(t)``.  Frame i of every camera is due at i/fps.  Due frames
 enter a per-camera deque holding QUEUE_SECONDS of frames; when a deque is full
 its oldest frame is dropped and counted.  Each tick pops at most one frame per
 camera into one TickBatch, consults the embedding provider once for the batch
-(it stands in for a shared GPU inference service), steps the trackers, and
-hands concluded tracks to the cross-camera supervisor once the clock passes
-its next deadline, one tick_period apart.  A latency is the processing time of
+(it stands in for a shared GPU inference service), steps the trackers of all
+its frames as one batch (``sct.step_cameras``: one stacked Kalman predict,
+gating factorisation and update per tick, however many cameras), and hands
+concluded tracks to the cross-camera supervisor once the clock passes its
+next deadline, one tick_period apart.  A latency is the processing time of
 one tick, supervisor included, in every mode.
 
 Offline runs use a VirtualClock, whose time moves only when the engine waits:
@@ -42,7 +44,7 @@ from .mct import (
 )
 from .metrics import write_global_trajectories
 from .reid import TemporalScorer, temporal_aggregate
-from .sct import SingleCameraTracker, TrackerParams
+from .sct import SingleCameraTracker, TrackerParams, step_cameras
 
 QUEUE_SECONDS = 2.0  # per-camera queue capacity, in seconds of frames
 
@@ -61,10 +63,14 @@ class PipelineConfig:
     scorer_path: str | None = None  # learned temporal scorer weights (EMB1 x2)
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha_min <= 1.0:
-            raise ConfigError(f"alpha_min must be in [0, 1], got {self.alpha_min}")
-        if self.nms_iou is not None and not 0.0 <= self.nms_iou <= 1.0:
-            raise ConfigError(f"nms_iou must be in [0, 1], got {self.nms_iou}")
+        for name in ("alpha_min", "nms_iou"):
+            value = getattr(self, name)
+            if value is None and name == "nms_iou":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if not isinstance(self.real_time, bool):
             raise ConfigError(f"real_time must be true or false, got {self.real_time!r}")
         if isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral):
@@ -260,8 +266,8 @@ def _run_engine(cfg, topo, streams, fps, n_frames, trackers, provider, clock):
                     f"camera {record.camera}: detections without embeddings"
                 )
             record.embeddings = emb
-        for record in batch.frames:
-            _, concluded = trackers[record.camera].step(record)
+        stepped = step_cameras([(trackers[record.camera], record) for record in batch.frames])
+        for record, (_, concluded) in zip(batch.frames, stepped):
             processed[record.camera] += 1
             n_concluded += len(concluded)
             pending.extend(concluded)

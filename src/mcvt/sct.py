@@ -4,22 +4,28 @@ A DeepSORT-style tracker over the bottom-center state space of
 :mod:`mcvt.kalman`.  Confirmed tracks are matched through an appearance
 cascade (recent-feature gallery, Mahalanobis gating, Hungarian assignment per
 miss-age group); leftovers and tentative tracks fall through to IoU matching.
-Each camera frame is scored in one batched pass rather than per (track,
-detection) pair: one appearance matrix over the concatenated galleries of all
-confirmed tracks, one gating matrix from a stacked Cholesky
-(:func:`mcvt.kalman.gating_matrix`) and one IoU matrix; every cascade group
-slices its rows and the still-free detection columns out of the frame's
-matrix, which gives the same entries as scoring the group on its own.
 Tracks that stay unmatched longer than ``max_age`` frames are concluded and
 summarized into a single embedding plus start/end time-location metadata for
 the multi-camera stage.
+
+One tick of many cameras is stepped as one batch (:func:`step_cameras`): one
+stacked Kalman predict over every live track of every camera, one stacked
+projection and Cholesky over the confirmed tracks that meet detections, and
+one stacked update over every matched track.  Matching stays per camera:
+each camera frame is scored in one pass, with one appearance matrix over the
+concatenated galleries of its confirmed tracks, one gating matrix from its
+rows of the tick's Cholesky factors and one IoU matrix; every cascade group
+slices its rows and the still-free detection columns out of the frame's
+matrix.  ``SingleCameraTracker.step`` is the one-camera form.  A track keeps
+its frame-level features in one growing array; its gallery is a view of the
+last ``gallery_budget`` rows.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,13 +66,22 @@ class TrackerParams:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         for name in ("matching_threshold", "iou_max_cost", "gating_threshold"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value) or value < 0:
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0
+            ):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass
 class SCTrack:
-    """A live single-camera track."""
+    """A live single-camera track.
+
+    Its frame-level features are the first ``n_features`` rows of ``history``,
+    an array that doubles its capacity when full.
+    """
 
     track_id: int
     camera: str
@@ -75,8 +90,28 @@ class SCTrack:
     hits: int = 1
     time_since_update: int = 0
     boxes: list[tuple[int, Detection]] = field(default_factory=list)
-    features: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    gallery: deque = field(default_factory=deque)
+    gallery_budget: int = TrackerParams.gallery_budget
+    history: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    n_features: int = 0
+
+    @property
+    def features(self) -> np.ndarray:
+        """Every feature of the track, oldest first: (n_features, D)."""
+        return self.history[: self.n_features]
+
+    @property
+    def gallery(self) -> np.ndarray:
+        """The last ``gallery_budget`` features, oldest first."""
+        return self.history[max(0, self.n_features - self.gallery_budget) : self.n_features]
+
+    def add_feature(self, embedding) -> None:
+        if self.n_features == len(self.history):
+            grown = np.empty((max(4, 2 * self.n_features), len(embedding)))
+            if self.n_features:
+                grown[: self.n_features] = self.features
+            self.history = grown
+        self.history[self.n_features] = embedding
+        self.n_features += 1
 
     def predicted_box(self) -> tuple[float, float, float, float]:
         u, v, r, h = self.state.mean[:4]
@@ -109,7 +144,7 @@ def appearance_matrix(galleries, embeddings: np.ndarray) -> np.ndarray:
     sizes = [len(g) for g in galleries]
     if 0 in sizes:
         raise EmptyGallery("appearance cost needs a non-empty gallery")
-    stacked = np.array([g for gallery in galleries for g in gallery], dtype=float)
+    stacked = np.concatenate(galleries, dtype=float)
     offsets = np.cumsum([0] + sizes[:-1])
     return np.minimum.reduceat(1.0 - stacked @ np.asarray(embeddings).T, offsets, axis=0)
 
@@ -144,6 +179,7 @@ def associate(
     tracks: list[SCTrack],
     frame: FrameRecord,
     params: TrackerParams | None = None,
+    gating=None,
 ):
     """Two-stage detection-to-track association for one frame.
 
@@ -152,8 +188,10 @@ def associate(
     Hungarian per group.  Stage 2 matches all remaining tracks (tentative
     included) to remaining detections by IoU cost.  Each stage builds its
     cost matrix once per frame (one ``appearance_matrix``, one
-    ``kalman.gating_matrix``, one ``iou_matrix``); the cascade groups slice
-    their rows and the still-free columns out of it.  Returns
+    ``kalman.mahalanobis_matrix``, one ``iou_matrix``); the cascade groups
+    slice their rows and the still-free columns out of it.  ``gating`` is the
+    ``kalman.innovation_factors`` pair of the confirmed tracks, in track
+    order; by default it is computed here.  Returns
     (matches, unmatched_track_indices, unmatched_detection_indices) with
     matches as (track_index, detection_index) pairs.
     """
@@ -171,10 +209,12 @@ def associate(
 
     # Stage 1: appearance cascade, youngest miss-age first.
     if confirmed and n_det:
+        if gating is None:
+            gating = kalman.innovation_factors(
+                *kalman.stack_states(tracks[i].state for i in confirmed)
+            )
         cost = appearance_matrix([tracks[i].gallery for i in confirmed], frame.embeddings)
-        gate = kalman.gating_matrix(
-            [tracks[i].state for i in confirmed], kalman.box_observations(boxes)
-        )
+        gate = kalman.mahalanobis_matrix(gating, kalman.box_observations(boxes))
         cost[gate > params.gating_threshold] = _INFEASIBLE
         ages = np.array([tracks[i].time_since_update for i in confirmed])
         for age in np.unique(ages):
@@ -247,27 +287,31 @@ class SingleCameraTracker:
         self._last_frame: int | None = None
 
     def step(self, frame: FrameRecord) -> tuple[list[SCTrack], list[ConcludedTrack]]:
-        """Advance one frame: predict, associate, update, manage lifecycle.
+        """Advance one frame: the one-camera form of ``step_cameras``.
 
         Returns the active tracks and any tracks concluded this step.  Frames
         must arrive with strictly increasing frame_index (gaps allowed).
         """
+        return step_cameras([(self, frame)])[0]
+
+    def finish(self) -> list[ConcludedTrack]:
+        """End of stream: conclude all confirmed tracks, drop tentative ones."""
+        concluded = [
+            self._conclude(t) for t in self.tracks if t.status is TrackStatus.CONFIRMED
+        ]
+        self.tracks = []
+        return concluded
+
+    def _check_order(self, frame: FrameRecord) -> None:
         if self._last_frame is not None and frame.frame_index <= self._last_frame:
             raise OutOfOrderFrame(
                 f"camera {self.camera}: frame {frame.frame_index} after {self._last_frame}"
             )
-        self._last_frame = frame.frame_index
 
-        for track in self.tracks:
-            track.state = kalman.kf_predict(track.state)
-            track.time_since_update += 1
-
-        matches, unmatched_tracks, unmatched_dets = associate(self.tracks, frame, self.params)
-
-        for ti, di in matches:
-            self._update_track(self.tracks[ti], frame, di)
-
-        matched = {t for t, _ in matches}
+    def _close_step(
+        self, frame: FrameRecord, matched: set[int], unmatched_dets: list[int]
+    ) -> tuple[list[SCTrack], list[ConcludedTrack]]:
+        """Lifecycle after the updates: drop, conclude, keep, then initiate."""
         concluded: list[ConcludedTrack] = []
         survivors: list[SCTrack] = []
         for i, track in enumerate(self.tracks):
@@ -288,14 +332,6 @@ class SingleCameraTracker:
 
         return self.tracks, concluded
 
-    def finish(self) -> list[ConcludedTrack]:
-        """End of stream: conclude all confirmed tracks, drop tentative ones."""
-        concluded = [
-            self._conclude(t) for t in self.tracks if t.status is TrackStatus.CONFIRMED
-        ]
-        self.tracks = []
-        return concluded
-
     def _initiate(self, frame: FrameRecord, di: int) -> SCTrack:
         det = frame.detections[di]
         track = SCTrack(
@@ -303,29 +339,23 @@ class SingleCameraTracker:
             camera=self.camera,
             state=kalman.kf_initiate(to_observation(det)),
             boxes=[(frame.frame_index, det)],
-            gallery=deque(maxlen=self.params.gallery_budget),
+            gallery_budget=self.params.gallery_budget,
         )
         self._next_id += 1
-        emb = np.array(frame.embeddings[di], dtype=float)
-        track.features.append((frame.frame_index, emb))
-        track.gallery.append(emb)
+        track.add_feature(frame.embeddings[di])
         return track
 
-    def _update_track(self, track: SCTrack, frame: FrameRecord, di: int) -> None:
-        det = frame.detections[di]
-        track.state = kalman.kf_update(track.state, to_observation(det))
-        track.boxes.append((frame.frame_index, det))
-        emb = np.array(frame.embeddings[di], dtype=float)
-        track.features.append((frame.frame_index, emb))
-        track.gallery.append(emb)
+    def _record_match(self, track: SCTrack, frame: FrameRecord, di: int) -> None:
+        """Bookkeeping of a matched track whose state is already updated."""
+        track.boxes.append((frame.frame_index, frame.detections[di]))
+        track.add_feature(frame.embeddings[di])
         track.hits += 1
         track.time_since_update = 0
         if track.status is TrackStatus.TENTATIVE and track.hits >= self.params.n_init:
             track.status = TrackStatus.CONFIRMED
 
     def _conclude(self, track: SCTrack) -> ConcludedTrack:
-        rows = np.stack([f for _, f in track.features])
-        embedding = l2_normalize(self.aggregator(rows))
+        embedding = l2_normalize(self.aggregator(track.features))
         first_frame, first_det = track.boxes[0]
         last_frame, last_det = track.boxes[-1]
 
@@ -347,3 +377,67 @@ class SingleCameraTracker:
             class_label=majority_class(track.boxes),
             boxes=list(track.boxes),
         )
+
+
+def step_cameras(
+    pairs: list[tuple[SingleCameraTracker, FrameRecord]],
+) -> list[tuple[list[SCTrack], list[ConcludedTrack]]]:
+    """Advance each (tracker, frame) pair one frame, every camera in one batch.
+
+    Every frame's order is checked, and a tracker given twice is rejected,
+    before any state changes.  Then one stacked ``kalman.predict_many`` runs
+    over every live track of every camera, and one ``innovation_factors``
+    over the confirmed tracks of the cameras whose frame has detections; each
+    camera's rows of it gate that camera's ``associate``.  Matching stays per
+    camera.  One stacked ``kalman.update_many`` then updates every matched
+    track of every camera before each camera's lifecycle runs.  Returns one
+    (active tracks, concluded tracks) pair per input pair, in input order.
+    """
+    trackers = [tracker for tracker, _ in pairs]
+    if len({id(tracker) for tracker in trackers}) != len(trackers):
+        raise ValueError("a tracker appears twice in one step")
+    for tracker, frame in pairs:
+        tracker._check_order(frame)
+    for tracker, frame in pairs:
+        tracker._last_frame = frame.frame_index
+
+    live = [track for tracker in trackers for track in tracker.tracks]
+    if live:
+        means, covs = kalman.predict_many(*kalman.stack_states(track.state for track in live))
+        for track, mean, cov in zip(live, means, covs):
+            track.state = KalmanState(mean=mean, cov=cov)
+            track.time_since_update += 1
+
+    gated = [
+        [t for t in tracker.tracks if t.status is TrackStatus.CONFIRMED] if frame.detections else []
+        for tracker, frame in pairs
+    ]
+    bounds = np.cumsum([0] + [len(tracks) for tracks in gated])
+    factors = None
+    if bounds[-1]:
+        factors = kalman.innovation_factors(
+            *kalman.stack_states(t.state for tracks in gated for t in tracks)
+        )
+
+    associations = []
+    updates: list[tuple[SingleCameraTracker, FrameRecord, SCTrack, int]] = []
+    for (tracker, frame), lo, hi in zip(pairs, bounds[:-1], bounds[1:]):
+        gating = None if factors is None else (factors[0][lo:hi], factors[1][lo:hi])
+        matches, _, unmatched_dets = associate(tracker.tracks, frame, tracker.params, gating)
+        associations.append(({ti for ti, _ in matches}, unmatched_dets))
+        updates.extend((tracker, frame, tracker.tracks[ti], di) for ti, di in matches)
+
+    if updates:
+        boxes = [frame.detections[di] for _, frame, _, di in updates]
+        observations = kalman.box_observations([(d.x1, d.y1, d.x2, d.y2) for d in boxes])
+        means, covs = kalman.update_many(
+            *kalman.stack_states(track.state for _, _, track, _ in updates), observations
+        )
+        for (tracker, frame, track, di), mean, cov in zip(updates, means, covs):
+            track.state = KalmanState(mean=mean, cov=cov)
+            tracker._record_match(track, frame, di)
+
+    return [
+        tracker._close_step(frame, matched, unmatched_dets)
+        for (tracker, frame), (matched, unmatched_dets) in zip(pairs, associations)
+    ]

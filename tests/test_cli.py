@@ -98,6 +98,13 @@ class TestRunErrors:
         (None, "real_time", "no"),
         (None, "workers", True),
         (None, "workers", 2.5),
+        (None, "alpha_min", True),
+        (None, "nms_iou", True),
+        ("mct", "tau_min", True),
+        ("mct", "v_max", True),
+        ("mct", "bias_lambda", False),
+        ("tracker", "matching_threshold", True),
+        ("tracker", "gating_threshold", True),
     ])
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, section, name, value):
         cfg = {"sim": {"seed": 1, "n_cams": 2, "n_vehicles": 3, "duration_s": 2.0}}
@@ -175,6 +182,23 @@ class TestEvalTrackErrors:
                      "--pred", str(pred)]) == 1
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and "pred.csv, line 2" in line
+
+
+    def test_repeated_global_track_id(self, small_scenario, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("c001,0,1,10.0,10.0,20.0,20.0\n" * 2)
+        assert main(["eval-mct", "--scenario", str(small_scenario),
+                     "--pred", str(pred)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "pred.csv, line 2" in line
+
+    def test_repeated_sct_track_id(self, small_scenario, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("0,1,10.0,10.0,20.0,20.0\n3,1,1,1,1,1\n0,1,12.0,10.0,20.0,20.0\n")
+        assert main(["eval-sct", "--gt", str(small_scenario / "gt_c001.csv"),
+                     "--pred", str(pred)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "pred.csv, line 3" in line
 
 
 class TestEvalReid:

@@ -1,9 +1,13 @@
 """Filter behaviour: the posterior keeps the raw detection box for position,
-filtered values for velocity, and a standard Kalman covariance."""
+filtered values for velocity, and a standard Kalman covariance.  The stacked
+forms must equal the one-state reference filter below bit for bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mcvt import kalman
 from mcvt.errors import SingularInnovation
 from mcvt.ingest import Detection
 from mcvt.kalman import (
@@ -15,9 +19,62 @@ from mcvt.kalman import (
     kf_predict,
     kf_update,
     observation_to_box,
-    squared_mahalanobis,
     to_observation,
 )
+
+# ---------------------------------------------------------------------------
+# One-state reference filter: a matrix product, a noise matrix and a Cholesky
+# per call.
+
+_F = np.eye(8)
+_F[:4, 4:] = np.eye(4)
+_H = np.eye(4, 8)
+
+
+def _reference_noise(h, velocity=True):
+    w_pos, w_vel = 1.0 / 20, 1.0 / 160
+    std = [w_pos * h, w_pos * h, 1e-2, w_pos * h]
+    if velocity:
+        std += [w_vel * h, w_vel * h, 1e-5, w_vel * h]
+    return np.diag(np.square(std))
+
+
+def reference_predict(s: KalmanState) -> KalmanState:
+    mean = _F @ s.mean
+    cov = _F @ s.cov @ _F.T + _reference_noise(s.mean[3])
+    return KalmanState(mean=mean, cov=cov)
+
+
+def reference_project(s: KalmanState):
+    mean = _H @ s.mean
+    cov = _H @ s.cov @ _H.T + _reference_noise(s.mean[3], velocity=False)
+    return mean, cov
+
+
+def reference_update(s: KalmanState, obs: Observation) -> KalmanState:
+    proj_mean, proj_cov = reference_project(s)
+    try:
+        chol = np.linalg.cholesky(proj_cov)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovation(str(exc)) from exc
+    kt = np.linalg.solve(chol.T, np.linalg.solve(chol, (s.cov @ _H.T).T))
+    gain = kt.T
+    innovation = obs.as_vector() - proj_mean
+    mean = s.mean + gain @ innovation
+    cov = s.cov - gain @ proj_cov @ gain.T
+    cov = (cov + cov.T) / 2.0
+    mean[:4] = obs.as_vector()
+    return KalmanState(mean=mean, cov=cov)
+
+
+def squared_mahalanobis(mean, cov, x) -> float:
+    """Squared Mahalanobis distance of x from N(mean, cov)."""
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovation(str(exc)) from exc
+    z = np.linalg.solve(chol, np.asarray(x, dtype=float) - mean)
+    return float(z @ z)
 
 
 def test_observation_from_detection():
@@ -148,3 +205,68 @@ def test_update_singular_innovation():
     s.mean[2] = 1.0
     with pytest.raises(SingularInnovation):
         kf_update(s, Observation(0.0, 0.0, 1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# Stacked forms against the one-state reference, bit for bit
+
+
+@st.composite
+def observations(draw):
+    return Observation(
+        draw(st.floats(-100.0, 1400.0)),
+        draw(st.floats(-100.0, 800.0)),
+        draw(st.floats(0.2, 4.0)),
+        draw(st.floats(5.0, 300.0)),
+    )
+
+
+@st.composite
+def filter_states(draw):
+    """An initiated state after up to six reference predicts and updates."""
+    s = kf_initiate(draw(observations()))
+    for step in draw(st.lists(st.sampled_from(["predict", "update"]), max_size=6)):
+        s = reference_predict(s) if step == "predict" else reference_update(s, draw(observations()))
+    return s
+
+
+state_stacks = st.lists(filter_states(), min_size=1, max_size=40)
+
+
+@given(state_stacks)
+def test_predict_many_equals_reference(states):
+    means, covs = kalman.predict_many(*kalman.stack_states(states))
+    for s, mean, cov in zip(states, means, covs):
+        want = reference_predict(s)
+        assert np.array_equal(mean, want.mean)
+        assert np.array_equal(cov, want.cov)
+
+
+@given(state_stacks)
+def test_project_many_equals_reference(states):
+    means, covs = kalman.project_many(*kalman.stack_states(states))
+    for s, mean, cov in zip(states, means, covs):
+        want_mean, want_cov = reference_project(s)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(cov, want_cov)
+
+
+@given(st.lists(st.tuples(filter_states(), observations()), min_size=1, max_size=40))
+def test_update_many_equals_reference(pairs):
+    states = [s for s, _ in pairs]
+    obs = np.array([o.as_vector() for _, o in pairs])
+    means, covs = kalman.update_many(*kalman.stack_states(states), obs)
+    for (s, o), mean, cov in zip(pairs, means, covs):
+        want = reference_update(s, o)
+        assert np.array_equal(mean, want.mean)
+        assert np.array_equal(cov, want.cov)
+
+
+def test_update_many_with_one_singular_row_raises():
+    good = [kf_predict(kf_initiate(Observation(100.0 * k, 50.0, 1.0, 40.0))) for k in range(3)]
+    singular = KalmanState(mean=np.zeros(8), cov=np.zeros((8, 8)))  # zero height, zero cov
+    states = good[:2] + [singular] + good[2:]
+    obs = np.array([[0.0, 0.0, 1.0, 1.0]] * len(states))
+    with pytest.raises(SingularInnovation):
+        kalman.update_many(*kalman.stack_states(states), obs)
+    kalman.update_many(*kalman.stack_states(good), obs[:3])  # the others alone are fine

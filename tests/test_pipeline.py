@@ -2,10 +2,12 @@
 
 import json
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mcvt import kalman, pipeline
 from mcvt.errors import ConfigError, SourceMissing
 from mcvt.metrics import evaluate_identity, load_global_trajectories
 from mcvt.pipeline import (
@@ -144,6 +146,29 @@ class TestOffline:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         report = run(PipelineConfig(scenario_dir=str(noisy_dir), workers=4))
         assert report.frames == {"c001": 300, "c002": 300}
+
+    def test_each_tick_steps_every_camera_in_one_batch(self, noisy_dir, monkeypatch):
+        calls = Counter()
+        for name in ("predict_many", "innovation_factors", "update_many"):
+            def counting(*args, _real=getattr(kalman, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(kalman, name, counting)
+        ticks = []
+
+        def stepping(pairs, _real=pipeline.step_cameras):
+            before = calls.copy()
+            result = _real(pairs)
+            ticks.append((len(pairs), calls - before))
+            return result
+
+        monkeypatch.setattr(pipeline, "step_cameras", stepping)
+        run(PipelineConfig(scenario_dir=str(noisy_dir)))
+        assert len(ticks) == 300
+        assert all(max(tick.values(), default=0) <= 1 for _, tick in ticks)
+        # Ticks where both cameras stepped and each needed all three calls.
+        assert any(n == 2 and tick == dict.fromkeys(calls, 1) for n, tick in ticks)
 
     def test_sim_source_runs_in_memory(self):
         cfg = PipelineConfig(sim={

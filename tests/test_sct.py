@@ -1,9 +1,10 @@
-from collections import deque
+import copy
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_kalman import reference_predict, reference_project, reference_update, squared_mahalanobis
 
 from mcvt import kalman, sct
 from mcvt.errors import EmptyGallery, OutOfOrderFrame
@@ -19,6 +20,7 @@ from mcvt.sct import (
     appearance_matrix,
     associate,
     majority_class,
+    step_cameras,
 )
 from mcvt.simkit import NoiseProfile, gen_scenario, render_detections
 
@@ -41,14 +43,19 @@ def frame_of(camera, idx, dets, embs, fps=10.0):
     return FrameRecord(camera, idx, idx / fps, list(dets), emb)
 
 
+def with_gallery(track, vectors):
+    for v in vectors:
+        track.add_feature(v)
+
+
 def confirmed_track(tid, det, emb, tsu=0):
     t = SCTrack(
         track_id=tid,
         camera="c",
         state=kalman.kf_initiate(to_observation(det)),
         status=TrackStatus.CONFIRMED,
-        gallery=deque([np.array(emb)]),
     )
+    with_gallery(t, [emb])
     t.time_since_update = tsu
     t.boxes.append((0, det))
     return t
@@ -109,8 +116,8 @@ def test_associate_tentative_goes_through_iou_only():
         track_id=1,
         camera="c",
         state=kalman.kf_initiate(to_observation(det_at(50, 50))),
-        gallery=deque([E1]),
     )
+    with_gallery(t, [E1])
     frame = frame_of("c", 1, [det_at(52, 52)], [E2])
     matches, _, _ = associate([t], frame)
     assert matches == [(0, 0)]
@@ -272,9 +279,9 @@ def reference_associate(tracks, frame, params):
             track = tracks[ti]
             for dj, di in enumerate(free_dets):
                 c = float(np.min(1.0 - np.asarray(track.gallery) @ frame.embeddings[di]))
-                mean, cov = kalman.project(track.state)
+                mean, cov = reference_project(track.state)
                 obs = to_observation(frame.detections[di]).as_vector()
-                if kalman.squared_mahalanobis(mean, cov, obs) > params.gating_threshold:
+                if squared_mahalanobis(mean, cov, obs) > params.gating_threshold:
                     c = sct._INFEASIBLE
                 cost[gi, dj] = c
         got, _, _ = sct._min_cost_matching(cost, params.matching_threshold)
@@ -324,9 +331,9 @@ def kalman_states(draw):
     if draw(st.booleans()):
         dx, dy = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
         moved = Detection(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy, 1.0)
-        state = kalman.kf_update(kalman.kf_predict(state), to_observation(moved))
+        state = reference_update(reference_predict(state), to_observation(moved))
     for _ in range(draw(st.integers(0, 3))):
-        state = kalman.kf_predict(state)
+        state = reference_predict(state)
     return state
 
 
@@ -342,8 +349,8 @@ def tracks_and_frames(draw):
             camera="c",
             state=state,
             status=draw(st.sampled_from([TrackStatus.CONFIRMED, TrackStatus.TENTATIVE])),
-            gallery=deque(draw(st.lists(palette_vectors, min_size=1, max_size=4))),
         )
+        with_gallery(track, draw(st.lists(palette_vectors, min_size=1, max_size=4)))
         track.time_since_update = draw(st.integers(1, 3))
         tracks.append(track)
     dets, embs = [], []
@@ -386,7 +393,7 @@ def test_associate_later_cascade_group_sees_only_free_columns():
 def test_gating_matrix_equals_per_pair_mahalanobis(states, dets):
     obs = np.array([to_observation(d).as_vector() for d in dets]).reshape(len(dets), 4)
     expected = np.array(
-        [[kalman.squared_mahalanobis(*kalman.project(s), o) for o in obs] for s in states]
+        [[squared_mahalanobis(*reference_project(s), o) for o in obs] for s in states]
     ).reshape(len(states), len(dets))
     got = kalman.gating_matrix(states, obs)
     assert got.shape == expected.shape
@@ -418,30 +425,30 @@ def test_iou_matrix_equals_iou_exactly(a, b):
 
 
 def test_appearance_matrix_rows_are_per_track_minima():
-    galleries = [deque([E1, E2]), deque([E2]), deque([unit(1, 1, 0, 0)])]
+    galleries = [np.stack([E1, E2]), E2[None], unit(1, 1, 0, 0)[None]]
     embs = np.stack([E1, E2, unit(0, 0, 1, 0)])
     got = appearance_matrix(galleries, embs)
     for t, gallery in enumerate(galleries):
         for n, e in enumerate(embs):
             assert got[t, n] == pytest.approx(appearance_cost(gallery, e))
     with pytest.raises(EmptyGallery):
-        appearance_matrix([deque([E1]), deque()], embs)
+        appearance_matrix([E1[None], np.empty((0, 4))], embs)
 
 
 def test_tracker_gates_each_frame_with_one_matrix(monkeypatch):
     scenario, gt = gen_scenario(5, 2, 12, 20.0)
     streams = render_detections(scenario, gt, NoiseProfile(box_jitter_std=2.0, miss_rate=0.1))
     calls = []
-    batched = kalman.gating_matrix
+    factors = kalman.innovation_factors
 
     def counting(*args):
         calls.append(1)
-        return batched(*args)
+        return factors(*args)
 
     def per_pair(*args):
         raise AssertionError("association scored a single pair")
 
-    monkeypatch.setattr(kalman, "gating_matrix", counting)
+    monkeypatch.setattr(kalman, "innovation_factors", counting)
     monkeypatch.setattr(kalman, "gating_distance", per_pair)
     monkeypatch.setattr(sct, "appearance_cost", per_pair)
     cid = scenario.camera_ids[0]
@@ -451,3 +458,179 @@ def test_tracker_gates_each_frame_with_one_matrix(monkeypatch):
         tracker.step(frame)
         assert len(calls) - before <= 1
     assert calls  # confirmed tracks met detections, so the gate did run
+
+
+# ---------------------------------------------------------------------------
+# Cross-camera batched steps against one camera, one track at a time
+
+
+def reference_step(tracker, frame):
+    """The unbatched tracker step: one reference predict and update per track."""
+    if tracker._last_frame is not None and frame.frame_index <= tracker._last_frame:
+        raise OutOfOrderFrame(f"frame {frame.frame_index} after {tracker._last_frame}")
+    tracker._last_frame = frame.frame_index
+    for track in tracker.tracks:
+        track.state = reference_predict(track.state)
+        track.time_since_update += 1
+    matches, _, unmatched_dets = associate(tracker.tracks, frame, tracker.params)
+    for ti, di in matches:
+        track, det = tracker.tracks[ti], frame.detections[di]
+        track.state = reference_update(track.state, to_observation(det))
+        track.boxes.append((frame.frame_index, det))
+        track.add_feature(frame.embeddings[di])
+        track.hits += 1
+        track.time_since_update = 0
+        if track.status is TrackStatus.TENTATIVE and track.hits >= tracker.params.n_init:
+            track.status = TrackStatus.CONFIRMED
+    matched = {ti for ti, _ in matches}
+    concluded, survivors = [], []
+    for i, track in enumerate(tracker.tracks):
+        if i in matched:
+            survivors.append(track)
+        elif track.status is TrackStatus.TENTATIVE:
+            track.status = TrackStatus.DELETED
+        elif track.time_since_update > tracker.params.max_age:
+            concluded.append(tracker._conclude(track))
+            track.status = TrackStatus.DELETED
+        else:
+            survivors.append(track)
+    tracker.tracks = survivors
+    for di in unmatched_dets:
+        tracker.tracks.append(tracker._initiate(frame, di))
+    return tracker.tracks, concluded
+
+
+def assert_same_tracks(got, want):
+    assert [t.track_id for t in got] == [t.track_id for t in want]
+    for a, b in zip(got, want):
+        assert (a.status, a.hits, a.time_since_update) == (b.status, b.hits, b.time_since_update)
+        assert np.array_equal(a.state.mean, b.state.mean)
+        assert np.array_equal(a.state.cov, b.state.cov)
+        assert np.array_equal(a.gallery, b.gallery)
+        assert a.boxes == b.boxes
+
+
+def assert_same_concluded(got, want):
+    assert [c.track_id for c in got] == [c.track_id for c in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.embedding, b.embedding)
+        assert (a.camera, a.t_s, a.t_e, a.l_s, a.l_e) == (b.camera, b.t_s, b.t_e, b.l_s, b.l_e)
+        assert (a.class_label, a.boxes) == (b.class_label, b.boxes)
+
+
+@st.composite
+def camera_ticks(draw):
+    """2-5 trackers and up to 8 ticks of frames; each tick steps a subset of cameras.
+
+    Each camera sees up to three vehicles moving at constant speed, each
+    detected with some jitter or missed, plus occasional clutter boxes.
+    """
+    n_cams = draw(st.integers(2, 5))
+    params = TrackerParams(
+        n_init=draw(st.integers(1, 3)),
+        max_age=draw(st.integers(0, 3)),
+        gallery_budget=draw(st.integers(1, 3)),
+    )
+    lanes = [
+        [
+            (draw(coords), draw(coords), draw(st.integers(-6, 6)), draw(st.integers(-6, 6)),
+             draw(palette_vectors))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        for _ in range(n_cams)
+    ]
+    ticks = []
+    for k in range(draw(st.integers(1, 8))):
+        stepped = draw(st.lists(st.integers(0, n_cams - 1), unique=True, max_size=n_cams))
+        tick = []
+        for c in stepped:
+            dets, embs = [], []
+            for x, y, vx, vy, emb in lanes[c]:
+                if draw(st.integers(0, 4)):
+                    jx, jy = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+                    dets.append(det_at(x + vx * k + jx, y + vy * k + jy))
+                    embs.append(emb)
+            if draw(st.integers(0, 3)) == 0:
+                dets.append(draw(boxes()))
+                embs.append(draw(palette_vectors))
+            tick.append((c, frame_of(f"c{c}", k, dets, embs)))
+        ticks.append(tick)
+    return n_cams, params, ticks
+
+
+def gating_checked_associate(tracks, frame, params=None, gating=None):
+    """``associate``, asserting that a camera's gating rows are its confirmed tracks'."""
+    confirmed = [t.state for t in tracks if t.status is TrackStatus.CONFIRMED]
+    if confirmed and frame.detections:
+        want = kalman.innovation_factors(*kalman.stack_states(confirmed))
+        assert gating is not None
+        assert all(np.array_equal(g, w) for g, w in zip(gating, want))
+    return associate(tracks, frame, params, gating)
+
+
+@given(camera_ticks())
+def test_step_cameras_equals_one_camera_at_a_time(case):
+    n_cams, params, ticks = case
+    batched = [SingleCameraTracker(f"c{c}", 10.0, params=params) for c in range(n_cams)]
+    alone = copy.deepcopy(batched)
+    for tick in ticks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sct, "associate", gating_checked_associate)
+            got = step_cameras([(batched[c], frame) for c, frame in tick])
+        for (c, frame), (tracks, concluded) in zip(tick, got):
+            want_tracks, want_concluded = reference_step(alone[c], frame)
+            assert_same_tracks(tracks, want_tracks)
+            assert_same_concluded(concluded, want_concluded)
+    for a, b in zip(batched, alone):
+        assert a._last_frame == b._last_frame
+        assert_same_concluded(a.finish(), b.finish())
+
+
+def test_step_cameras_rejects_a_bad_call_before_any_change():
+    a, b = SingleCameraTracker("a", 10.0), SingleCameraTracker("b", 10.0)
+    for k in range(4):
+        step_cameras([
+            (a, frame_of("a", k, [det_at(100 + 2 * k, 100)], [E1])),
+            (b, frame_of("b", k, [det_at(300 - 2 * k, 200)], [E2])),
+        ])
+
+    def snapshot():
+        # A step replaces each track's state object, so identity shows a predict.
+        return [
+            (tr._last_frame,
+             [(t.track_id, t.status, t.hits, t.time_since_update, t.n_features) for t in tr.tracks],
+             [t.state for t in tr.tracks])
+            for tr in (a, b)
+        ]
+
+    def unchanged(before):
+        for (last, fields, states), (last_now, fields_now, states_now) in zip(before, snapshot()):
+            assert (last, fields) == (last_now, fields_now)
+            assert all(s is t for s, t in zip(states, states_now))
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="twice"):
+        step_cameras([
+            (a, frame_of("a", 4, [det_at(108, 100)], [E1])),
+            (b, frame_of("b", 4, [det_at(292, 200)], [E2])),
+            (a, frame_of("a", 5, [det_at(110, 100)], [E1])),
+        ])
+    unchanged(before)
+    with pytest.raises(OutOfOrderFrame):
+        step_cameras([
+            (a, frame_of("a", 4, [det_at(108, 100)], [E1])),
+            (b, frame_of("b", 3, [det_at(292, 200)], [E2])),
+        ])
+    unchanged(before)
+    step_cameras([(a, frame_of("a", 4, [], [])), (b, frame_of("b", 4, [], []))])
+    assert (a._last_frame, b._last_frame) == (4, 4)
+
+
+def test_track_history_grows_and_gallery_keeps_the_budget():
+    track = SCTrack(1, "c", kalman.kf_initiate(to_observation(det_at(0, 0))), gallery_budget=4)
+    rows = [unit(k + 1, 1, 0, 0) for k in range(11)]
+    for k, row in enumerate(rows):
+        track.add_feature(row)
+        assert np.array_equal(track.features, np.stack(rows[: k + 1]))
+        assert np.array_equal(track.gallery, np.stack(rows[max(0, k - 3) : k + 1]))
+    assert len(track.history) >= 11

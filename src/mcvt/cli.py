@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import losses, metrics, pipeline, reid, simkit
-from .errors import ConfigError, InvalidLayout, MalformedInput, McvtError, SourceMissing
+from .errors import ConfigError, MalformedInput, McvtError, SourceMissing
+from .ingest import read_csv_rows
 
 
 def _print_table(pairs) -> None:
@@ -56,24 +57,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_scenario(args) -> int:
-    try:
-        scenario, gt = simkit.gen_scenario(
-            seed=args.seed,
-            n_cams=args.cams,
-            n_vehicles=args.vehicles,
-            duration_s=args.duration,
-            fps=args.fps,
-            layout=args.layout,
-            embed_dim=args.dim,
-        )
-        profile = simkit.NoiseProfile(
-            box_jitter_std=args.jitter,
-            miss_rate=args.miss,
-            false_positive_rate=args.fp_rate,
-            embedding_noise_std=args.sigma,
-        )
-    except (ValueError, InvalidLayout) as exc:
-        raise ConfigError(str(exc)) from exc
+    scenario, gt = simkit.gen_scenario(
+        seed=args.seed,
+        n_cams=args.cams,
+        n_vehicles=args.vehicles,
+        duration_s=args.duration,
+        fps=args.fps,
+        layout=args.layout,
+        embed_dim=args.dim,
+    )
+    profile = simkit.NoiseProfile(
+        box_jitter_std=args.jitter,
+        miss_rate=args.miss,
+        false_positive_rate=args.fp_rate,
+        embedding_noise_std=args.sigma,
+    )
     streams = simkit.render_detections(scenario, gt, profile)
     simkit.write_scenario_dir(scenario, gt, streams, args.out)
     n_boxes = sum(
@@ -140,29 +138,28 @@ def _print_summary(summary: metrics.MotSummary) -> None:
 
 def _read_labels(path):
     """(identity, camera) rows of a label file; a bad row raises MalformedInput."""
-    labels = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            try:
-                if len(fields) < 2:
-                    raise ValueError("expected identity,camera")
-                labels.append((int(fields[0]), fields[1]))
-            except ValueError as exc:
-                raise MalformedInput(
-                    f"{path}, line {lineno}: bad label row {line!r} ({exc})"
-                ) from None
-    return labels
+    return list(read_csv_rows(path, "identity,camera label", lambda row: (int(row[0]), row[1])))
+
+
+def _read_reid_side(emb_path, labels_path):
+    """Embeddings and their (identity, camera) labels, one label per row."""
+    emb = reid.read_embeddings(emb_path)
+    labels = _read_labels(labels_path)
+    if len(labels) != len(emb):
+        raise MalformedInput(
+            f"{labels_path}: {len(labels)} labels for the {len(emb)} embeddings of {emb_path}"
+        )
+    return emb, labels
 
 
 def _cmd_eval_reid(args) -> int:
-    query = reid.read_embeddings(args.query)
-    gallery = reid.read_embeddings(args.gallery)
-    q_labels = _read_labels(args.query_labels)
-    g_labels = _read_labels(args.gallery_labels)
+    query, q_labels = _read_reid_side(args.query, args.query_labels)
+    gallery, g_labels = _read_reid_side(args.gallery, args.gallery_labels)
+    if query.shape[1] != gallery.shape[1]:
+        raise MalformedInput(
+            f"{args.gallery}: embedding dimension {gallery.shape[1]}, "
+            f"but {args.query} has {query.shape[1]}"
+        )
     if args.rerank:
         dist = reid.k_reciprocal_rerank(
             query, gallery, k1=args.k1, k2=args.k2, lambda_r=args.lambda_r

@@ -1,4 +1,8 @@
-"""Exception types raised across the tracking stack."""
+"""Exception types raised across the tracking stack, and the one check of settings."""
+
+import numbers
+import sys
+import typing
 
 
 class McvtError(Exception):
@@ -7,6 +11,50 @@ class McvtError(Exception):
 
 class ConfigError(McvtError):
     """Invalid or missing configuration."""
+
+
+class SettingError(ConfigError, TypeError, ValueError):
+    """A setting of the wrong kind or outside its range."""
+
+
+_KIND_WORDS = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", dict: "a JSON object"}
+
+
+def check_settings(values, **rules) -> None:
+    """Raise SettingError for the first entry of ``values`` that breaks its rule.
+
+    A rule is a kind, or a (kind, interval) pair such as ``(float, "[0, 1)")``
+    with ``[``/``]`` closed and ``(``/``)`` open ends.  Kinds: ``int`` is an
+    Integral and ``float`` a finite Real, neither of them a bool; ``bool``,
+    ``str`` and ``dict`` are themselves.  ``kind | None`` also admits None.
+    """
+    for name, rule in rules.items():
+        kind, interval = rule if isinstance(rule, tuple) else (rule, None)
+        kinds = typing.get_args(kind) or (kind,)
+        value = values[name]
+        if value is None and type(None) in kinds:
+            continue
+        if not _is_kind(value, kinds[0]):
+            raise SettingError(f"{name} must be {_KIND_WORDS[kinds[0]]}, got {value!r}")
+        if interval is not None and not _within(value, interval):
+            raise SettingError(f"{name} must be in {interval}, got {value!r}")
+
+
+def _is_kind(value, kind) -> bool:
+    if kind is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if kind is float:  # abs() compares exactly, so NaN, inf and huge ints fail
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
+    return isinstance(value, kind)
+
+
+def _within(value, interval: str) -> bool:
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = value > low if interval[0] == "(" else value >= low
+    below = value < high if interval[-1] == ")" else value <= high
+    return above and below
 
 
 class SourceMissing(McvtError):
@@ -72,8 +120,8 @@ class OutOfRange(McvtError):
 
 
 # simkit
-class InvalidLayout(McvtError):
-    """Unknown scenario layout."""
+class InvalidLayout(ConfigError):
+    """Unknown scenario layout, or one the camera count does not fit."""
 
 
 class UnknownIdentity(McvtError):

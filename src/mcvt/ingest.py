@@ -152,6 +152,37 @@ def nms_indices(dets: list[Detection], iou_thresh: float) -> list[int]:
     return kept
 
 
+def read_csv_rows(path, what: str, parse):
+    """Yield ``parse(row)`` for every row of a CSV file but blank and ``#`` rows.
+
+    This is the one reader of outside CSV input.  A row that ``parse`` rejects
+    with IndexError, TypeError or ValueError, and a file that is not text or
+    not CSV, raise MalformedInput naming the file and line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if not row or row[0].startswith("#"):
+                    continue
+                try:
+                    item = parse(row)
+                except (IndexError, TypeError, ValueError) as exc:
+                    raise MalformedInput(
+                        f"{path}, line {reader.line_num}: bad {what} row {','.join(row)!r} ({exc})"
+                    ) from None
+                yield item
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise MalformedInput(f"{path}, after line {reader.line_num}: {exc}") from None
+
+
+def _parse_detection(row) -> tuple[int, Detection]:
+    x, y, w, h = map(float, row[2:6])
+    conf = float(row[6]) if len(row) > 6 else 1.0
+    beta = VehicleClass.from_value(row[7]) if len(row) > 7 else VehicleClass.CAR
+    return int(row[0]), Detection(x1=x, y1=y, x2=x + w, y2=y + h, alpha=conf, beta=beta)
+
+
 def read_detection_csv(path) -> dict[int, list[Detection]]:
     """Read a per-camera detection CSV into frame_index -> detections.
 
@@ -161,22 +192,8 @@ def read_detection_csv(path) -> dict[int, list[Detection]]:
     and line.
     """
     frames: dict[int, list[Detection]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            try:
-                frame = int(row[0])
-                x, y, w, h = (float(v) for v in row[2:6])
-                conf = float(row[6]) if len(row) > 6 else 1.0
-                beta = VehicleClass.from_value(row[7]) if len(row) > 7 else VehicleClass.CAR
-                det = Detection(x1=x, y1=y, x2=x + w, y2=y + h, alpha=conf, beta=beta)
-            except ValueError as exc:
-                raise MalformedInput(
-                    f"{path}, line {reader.line_num}: bad detection row {','.join(row)!r} ({exc})"
-                ) from None
-            frames.setdefault(frame, []).append(det)
+    for frame, det in read_csv_rows(path, "detection", _parse_detection):
+        frames.setdefault(frame, []).append(det)
     return frames
 
 

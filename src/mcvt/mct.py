@@ -27,14 +27,12 @@ scaling that makes it unitless with range [0, 1]; see README for discussion.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NonPositiveDt
+from .errors import NonPositiveDt, check_settings
 from .geo import CameraTopology, GeoPoint, are_adjacent, are_overlapping, haversine_distance
 from .reid import l2_normalize, mitigate_camera_bias
 from .sct import ConcludedTrack
@@ -51,26 +49,11 @@ class MctConfig:
     use_direction: bool = True  # traffic rule 5
 
     def __post_init__(self):
-        for name in ("tau_min", "v_max", "flush_horizon", "tick_period", "bias_lambda"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("use_adjacency", "use_direction"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise TypeError(f"{name} must be true or false, got {value!r}")
-        if not 0.0 <= self.tau_min <= 1.0:
-            raise ValueError(f"tau_min must be in [0, 1], got {self.tau_min}")
-        if self.v_max <= 0:
-            raise ValueError(f"v_max must be positive, got {self.v_max}")
-        if self.flush_horizon <= 0 or self.tick_period <= 0:
-            raise ValueError("flush_horizon and tick_period must be positive")
-        if not 0.0 <= self.bias_lambda <= 1.0:
-            raise ValueError(f"bias_lambda must be in [0, 1], got {self.bias_lambda}")
+        check_settings(
+            vars(self), tau_min=(float, "[0, 1]"), v_max=(float, "(0, inf)"),
+            flush_horizon=(float, "(0, inf)"), tick_period=(float, "(0, inf)"),
+            bias_lambda=(float, "[0, 1]"), use_adjacency=bool, use_direction=bool,
+        )
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import MalformedInput
-from .ingest import Detection, iou
+from .ingest import Detection, iou, read_csv_rows
 
 # id -> [(camera, frame, box), ...]
 TrajectorySet = dict[int, list[tuple[str, int, Detection]]]
@@ -190,87 +189,66 @@ def _identity_counts(gt: TrajectorySet, pred: TrajectorySet, pred_frames, thresh
     return idp, idr, idf1, idtp, idfp, idfn
 
 
-def _repeated_id(path, line: int, row: list[str]) -> MalformedInput:
-    return MalformedInput(
-        f"{path}, line {line}: row {','.join(row)!r} repeats an id already seen in its frame"
-    )
+def _read_trajectories(path, layout: str, parse) -> TrajectorySet:
+    """Trajectories from the rows of a CSV file.
+
+    ``parse`` maps a row to (camera, frame, id, box).  A row that does not
+    parse, and a second row for one id in one camera frame, raise
+    MalformedInput naming the file and line.
+    """
+    seen: set[tuple[str, int, int]] = set()
+
+    def first_sighting(row):
+        camera, frame, tid, det = parse(row)
+        if (camera, frame, tid) in seen:
+            raise ValueError(f"id {tid} already appears in this frame")
+        seen.add((camera, frame, tid))
+        return tid, (camera, frame, det)
+
+    traj: TrajectorySet = {}
+    for tid, entry in read_csv_rows(path, layout, first_sighting):
+        traj.setdefault(tid, []).append(entry)
+    return traj
 
 
 def load_mot_trajectories(path, camera: str = "") -> TrajectorySet:
     """Read `frame,id,x,y,w,h,...` rows (MOTChallenge shape, 1-based or 0-based
-    frames both fine — values are kept as written).  A row that does not parse
-    raises MalformedInput naming the file and line, and so does a second row
-    for one id in one frame."""
-    traj: TrajectorySet = {}
-    seen: set[tuple[int, int]] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            try:
-                frame, tid = int(row[0]), int(row[1])
-                x, y, w, h = (float(v) for v in row[2:6])
-                det = Detection(x, y, x + w, y + h, alpha=1.0)
-            except (IndexError, ValueError) as exc:
-                raise MalformedInput(
-                    f"{path}, line {reader.line_num}: bad row {','.join(row)!r}"
-                    f" (expected frame,id,x,y,w,h: {exc})"
-                ) from None
-            key = (frame, tid)
-            if key in seen:
-                raise _repeated_id(path, reader.line_num, row)
-            seen.add(key)
-            traj.setdefault(tid, []).append((camera, frame, det))
-    return traj
+    frames both fine — values are kept as written) for one camera."""
+
+    def parse(row):
+        x, y, w, h = map(float, row[2:6])
+        return camera, int(row[0]), int(row[1]), Detection(x, y, x + w, y + h, alpha=1.0)
+
+    return _read_trajectories(path, "frame,id,x,y,w,h", parse)
+
+
+def write_mot_trajectories(path, rows) -> None:
+    """Write (frame, id, box) rows, in the order given, as MOTChallenge
+    `frame,id,x,y,w,h,1,class,1` lines."""
+    with open(path, "w", newline="") as fh:
+        for frame, tid, box in rows:
+            fh.write(
+                f"{frame},{tid},{box.x1:.4f},{box.y1:.4f},"
+                f"{box.width:.4f},{box.height:.4f},1,{int(box.beta)},1\n"
+            )
 
 
 def load_global_trajectories(path) -> TrajectorySet:
-    """Read `camera,frame,global_id,x,y,w,h` rows.  A row that does not parse
-    raises MalformedInput naming the file and line, and so does a second row
-    for one id in one camera frame."""
-    traj: TrajectorySet = {}
-    seen: set[tuple[str, int, int]] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            try:
-                camera, frame, gid = row[0], int(row[1]), int(row[2])
-                x, y, w, h = (float(v) for v in row[3:7])
-                det = Detection(x, y, x + w, y + h, alpha=1.0)
-            except (IndexError, ValueError) as exc:
-                raise MalformedInput(
-                    f"{path}, line {reader.line_num}: bad row {','.join(row)!r}"
-                    f" (expected camera,frame,global_id,x,y,w,h: {exc})"
-                ) from None
-            key = (camera, frame, gid)
-            if key in seen:
-                raise _repeated_id(path, reader.line_num, row)
-            seen.add(key)
-            traj.setdefault(gid, []).append((camera, frame, det))
-    return traj
+    """Read `camera,frame,global_id,x,y,w,h` rows."""
+
+    def parse(row):
+        x, y, w, h = map(float, row[3:7])
+        return row[0], int(row[1]), int(row[2]), Detection(x, y, x + w, y + h, alpha=1.0)
+
+    return _read_trajectories(path, "camera,frame,global_id,x,y,w,h", parse)
 
 
 def write_global_trajectories(path, traj: TrajectorySet) -> None:
     """Write `camera,frame,global_id,x,y,w,h` rows in deterministic order."""
-    rows = []
-    for gid, entries in traj.items():
-        for camera, frame, box in entries:
-            rows.append(
-                (
-                    camera,
-                    frame,
-                    gid,
-                    box.x1,
-                    box.y1,
-                    box.x2 - box.x1,
-                    box.y2 - box.y1,
-                )
-            )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows = [(cam, frame, gid, box) for gid, entries in traj.items() for cam, frame, box in entries]
+    rows.sort(key=lambda r: r[:3])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for camera, frame, gid, x, y, w, h in rows:
-            writer.writerow([camera, frame, gid, f"{x:.4f}", f"{y:.4f}", f"{w:.4f}", f"{h:.4f}"])
+        for cam, frame, gid, box in rows:
+            writer.writerow([cam, frame, gid, f"{box.x1:.4f}", f"{box.y1:.4f}",
+                             f"{box.width:.4f}", f"{box.height:.4f}"])

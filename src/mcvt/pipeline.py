@@ -23,7 +23,6 @@ accepted and validated, so existing configs keep loading, but changes nothing.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simkit
-from .errors import ConfigError, SourceMissing
+from .errors import ConfigError, SourceMissing, check_settings
 from .geo import CameraTopology
 from .ingest import FrameRecord, TickBatch, filter_confidence_indices, nms_indices
 from .mct import (
@@ -42,7 +41,7 @@ from .mct import (
     summarize_identities,
     supervisor_tick,
 )
-from .metrics import write_global_trajectories
+from .metrics import write_global_trajectories, write_mot_trajectories
 from .reid import TemporalScorer, temporal_aggregate
 from .sct import SingleCameraTracker, TrackerParams, step_cameras
 
@@ -63,25 +62,19 @@ class PipelineConfig:
     scorer_path: str | None = None  # learned temporal scorer weights (EMB1 x2)
 
     def __post_init__(self):
-        for name in ("alpha_min", "nms_iou"):
-            value = getattr(self, name)
-            if value is None and name == "nms_iou":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if not isinstance(self.real_time, bool):
-            raise ConfigError(f"real_time must be true or false, got {self.real_time!r}")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral):
-            raise ConfigError(f"workers must be an integer, got {self.workers!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        check_settings(
+            vars(self), scenario_dir=str | None, sim=dict | None, out_dir=str | None,
+            scorer_path=str | None, alpha_min=(float, "[0, 1]"),
+            nms_iou=(float | None, "[0, 1]"), real_time=bool, workers=(int, "[1, inf)"),
+        )
+        if self.sim is not None:
+            check_settings({"noise": self.sim.get("noise", {})}, noise=dict)
         if (self.scenario_dir is None) == (self.sim is None):
             raise ConfigError("exactly one of scenario_dir or sim must be set")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        check_settings({"config": data}, config=dict)
         data = dict(data)
         try:
             tracker = TrackerParams(**data.pop("tracker", {}))
@@ -93,13 +86,12 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         try:
-            text = Path(path).read_text()
+            data = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not text
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
 
 
 @dataclass
@@ -321,13 +313,8 @@ def _write_outputs(cfg: PipelineConfig, report: RunReport) -> None:
         for member in identity.members:
             per_camera.setdefault(member.camera, []).append(member)
     for cid in sorted(per_camera):
-        rows = []
-        for track in per_camera[cid]:
-            for frame, box in track.boxes:
-                rows.append(
-                    (frame, track.track_id, box.x1, box.y1, box.width, box.height, int(box.beta))
-                )
+        rows = [
+            (frame, track.track_id, box) for track in per_camera[cid] for frame, box in track.boxes
+        ]
         rows.sort(key=lambda r: (r[0], r[1]))
-        with open(out / f"sct_{cid}.csv", "w", newline="") as fh:
-            for frame, tid, x, y, w, h, beta in rows:
-                fh.write(f"{frame},{tid},{x:.4f},{y:.4f},{w:.4f},{h:.4f},1,{beta},1\n")
+        write_mot_trajectories(out / f"sct_{cid}.csv", rows)

@@ -23,6 +23,7 @@ from .errors import (
     MalformedInput,
     NoValidGallery,
     ZeroVector,
+    check_settings,
 )
 
 EMB_MAGIC = b"EMB1"
@@ -162,10 +163,9 @@ def k_reciprocal_rerank(
 
     so lambda_r = 1 returns the plain distance matrix unchanged.
     """
-    if not k1 > k2 >= 1:
-        raise ValueError(f"need k1 > k2 >= 1, got k1={k1}, k2={k2}")
-    if not 0.0 <= lambda_r <= 1.0:
-        raise ValueError(f"lambda_r must be in [0, 1], got {lambda_r}")
+    check_settings(
+        locals(), k2=(int, "[1, inf)"), k1=(int, f"({k2}, inf)"), lambda_r=(float, "[0, 1]")
+    )
     query = np.atleast_2d(np.asarray(query, dtype=float))
     gallery = np.atleast_2d(np.asarray(gallery, dtype=float))
     if gallery.shape[0] < k1:

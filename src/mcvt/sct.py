@@ -23,8 +23,6 @@ last ``gallery_budget`` rows.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,7 +31,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kalman
-from .errors import EmptyGallery, OutOfOrderFrame
+from .errors import EmptyGallery, OutOfOrderFrame, check_settings
 from .geo import GeoPoint, Homography, pixel_to_geo
 from .ingest import Detection, FrameRecord, VehicleClass, iou_matrix
 from .kalman import KalmanState, observation_to_box, to_observation
@@ -58,21 +56,11 @@ class TrackerParams:
     gating_threshold: float = kalman.GATING_THRESHOLD
 
     def __post_init__(self):
-        for name, low in (("n_init", 1), ("max_age", 0), ("gallery_budget", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        for name in ("matching_threshold", "iou_max_cost", "gating_threshold"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-                or value < 0
-            ):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        check_settings(
+            vars(self), n_init=(int, "[1, inf)"), max_age=(int, "[0, inf)"),
+            gallery_budget=(int, "[1, inf)"), matching_threshold=(float, "[0, inf)"),
+            iou_max_cost=(float, "[0, inf)"), gating_threshold=(float, "[0, inf)"),
+        )
 
 
 @dataclass
@@ -160,19 +148,13 @@ def appearance_cost(gallery, embedding: np.ndarray) -> float:
 def _min_cost_matching(cost: np.ndarray, max_cost: float):
     """Hungarian assignment dropping pairs above max_cost.
 
-    Returns (matches, unmatched_rows, unmatched_cols) with index lists
-    relative to the cost matrix.
+    Returns the matches as (row, column) index pairs of the cost matrix.
     """
     if cost.size == 0:
-        return [], list(range(cost.shape[0])), list(range(cost.shape[1]))
+        return []
     bounded = np.where(cost > max_cost, _INFEASIBLE, cost)
     rows, cols = linear_sum_assignment(bounded)
-    matches = [(int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] <= max_cost]
-    matched_r = {r for r, _ in matches}
-    matched_c = {c for _, c in matches}
-    unmatched_rows = [r for r in range(cost.shape[0]) if r not in matched_r]
-    unmatched_cols = [c for c in range(cost.shape[1]) if c not in matched_c]
-    return matches, unmatched_rows, unmatched_cols
+    return [(int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] <= max_cost]
 
 
 def associate(
@@ -221,7 +203,7 @@ def associate(
             if not free_dets:
                 break
             group = np.flatnonzero(ages == age)
-            got, _, _ = _min_cost_matching(
+            got = _min_cost_matching(
                 cost[np.ix_(group, free_dets)], params.matching_threshold
             )
             matches.extend((confirmed[group[gi]], free_dets[dj]) for gi, dj in got)
@@ -235,7 +217,7 @@ def associate(
         # A predicted box with x2 <= x1 or y2 <= y1 overlaps nothing: cost 1.0.
         predicted = np.array([tracks[i].predicted_box() for i in remaining])
         cost = 1.0 - iou_matrix(predicted, boxes[free_dets])
-        got, _, _ = _min_cost_matching(cost, params.iou_max_cost)
+        got = _min_cost_matching(cost, params.iou_max_cost)
         matches.extend((remaining[ri], free_dets[dj]) for ri, dj in got)
         taken = {free_dets[dj] for _, dj in got}
         free_dets = [d for d in free_dets if d not in taken]

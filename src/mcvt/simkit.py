@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidLayout, MalformedInput, UnknownIdentity
+from .errors import InvalidLayout, MalformedInput, UnknownIdentity, check_settings
 from .geo import (
     CameraInfo,
     GeoPoint,
@@ -34,7 +34,8 @@ from .geo import (
     topology_from_dict,
     topology_to_dict,
 )
-from .ingest import Detection, FrameRecord, VehicleClass, write_detection_csv
+from .ingest import Detection, FrameRecord, VehicleClass, read_detection_csv, write_detection_csv
+from .metrics import load_mot_trajectories, write_mot_trajectories
 from .reid import read_embeddings, write_embedding_block
 
 METERS_PER_DEGREE = math.pi * 6_371_000.0 / 180.0  # meridian degree, ~111194.93 m
@@ -197,12 +198,11 @@ def gen_scenario(
     Grid: the cameras arranged in rows of parallel corridors (adjacency is the
     4-neighbourhood); each vehicle drives along one row.
     """
-    if n_cams < 1:
-        raise ValueError(f"need at least one camera, got {n_cams}")
-    if n_vehicles < 0:
-        raise ValueError(f"vehicle count must be >= 0, got {n_vehicles}")
-    if duration_s <= 0 or fps <= 0:
-        raise ValueError("duration_s and fps must be positive")
+    check_settings(
+        locals(), seed=(int, "[0, inf)"), n_cams=(int, "[1, inf)"),
+        n_vehicles=(int, "[0, inf)"), duration_s=(float, "(0, inf)"),
+        fps=(float, "(0, inf)"), embed_dim=(int, "[1, inf)"),
+    )
     if layout == "corridor":
         rows, cols = 1, n_cams
     elif layout == "grid":
@@ -326,12 +326,10 @@ class NoiseProfile:
     embedding_noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.box_jitter_std < 0 or self.embedding_noise_std < 0:
-            raise ValueError("noise standard deviations must be >= 0")
-        if not 0.0 <= self.miss_rate < 1.0:
-            raise ValueError(f"miss_rate must be in [0, 1), got {self.miss_rate}")
-        if self.false_positive_rate < 0:
-            raise ValueError("false_positive_rate must be >= 0")
+        check_settings(
+            vars(self), box_jitter_std=(float, "[0, inf)"), miss_rate=(float, "[0, 1)"),
+            false_positive_rate=(float, "[0, inf)"), embedding_noise_std=(float, "[0, inf)"),
+        )
 
 
 class EmbeddingOracle:
@@ -523,13 +521,11 @@ def write_scenario_dir(
         json.dumps(_scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
     )
     for cid in scenario.camera_ids:
-        with open(outdir / f"gt_{cid}.csv", "w", newline="") as fh:
-            for frame in sorted(gt.boxes.get(cid, {})):
-                for gid, d in gt.boxes[cid][frame]:
-                    fh.write(
-                        f"{frame},{gid},{d.x1:.4f},{d.y1:.4f},"
-                        f"{d.width:.4f},{d.height:.4f},1,{int(d.beta)},1\n"
-                    )
+        per_frame = gt.boxes.get(cid, {})
+        write_mot_trajectories(
+            outdir / f"gt_{cid}.csv",
+            ((frame, gid, d) for frame in sorted(per_frame) for gid, d in per_frame[frame]),
+        )
         records = streams[cid]
         write_detection_csv(
             outdir / f"det_{cid}.csv",
@@ -557,8 +553,6 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
         raise MalformedInput(f"{meta}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"{meta}: {exc}") from None
-    from .ingest import read_detection_csv
-
     streams: dict[str, list[FrameRecord]] = {}
     for cid in scenario.camera_ids:
         frames = read_detection_csv(outdir / f"det_{cid}.csv")
@@ -588,8 +582,6 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
 
 def load_ground_truth(outdir, scenario: Scenario) -> dict[int, list]:
     """Merge the per-camera GT CSVs into one global-id trajectory set."""
-    from .metrics import load_mot_trajectories
-
     outdir = Path(outdir)
     traj: dict[int, list] = {}
     for cid in scenario.camera_ids:

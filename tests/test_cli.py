@@ -105,15 +105,41 @@ class TestRunErrors:
         ("mct", "bias_lambda", False),
         ("tracker", "matching_threshold", True),
         ("tracker", "gating_threshold", True),
+        (None, "sim", 5),
+        ("sim", "noise", 5),
+        ("sim", "n_vehicles", True),
+        ("sim", "fps", float("inf")),
+        ("sim", "duration_s", float("nan")),
+        ("sim", "embed_dim", 0),
+        ("sim", "layout", "ring"),
+        ("sim.noise", "box_jitter_std", float("nan")),
+        ("sim.noise", "box_jitter_std", True),
+        ("sim.noise", "false_positive_rate", float("nan")),
+        ("sim.noise", "false_positive_rate", float("inf")),
+        ("sim.noise", "embedding_noise_std", float("nan")),
     ])
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, section, name, value):
         cfg = {"sim": {"seed": 1, "n_cams": 2, "n_vehicles": 3, "duration_s": 2.0}}
-        cfg.update({name: value} if section is None else {section: {name: value}})
+        target = cfg
+        for key in section.split(".") if section else ():
+            target = target.setdefault(key, {})
+        target[name] = value
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 2
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and name in line
+
+    @pytest.mark.parametrize("cfg, named", [
+        ([1], "JSON object"),
+        ({"scenario_dir": 5}, "scenario_dir"),
+    ])
+    def test_config_of_the_wrong_shape_is_a_config_error(self, tmp_path, capsys, cfg, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and named in line
 
     def test_workers_flag_is_gone(self, small_scenario):
         with pytest.raises(SystemExit) as exc:
@@ -162,6 +188,19 @@ class TestGenScenarioErrors:
     def test_grid_needs_exact_factorization(self, tmp_path):
         assert main(["gen-scenario", "--seed", "0", "--cams", "5",
                      "--layout", "grid", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--duration", "nan", "duration_s"),
+        ("--fps", "inf", "fps"),
+        ("--fp-rate", "inf", "false_positive_rate"),
+        ("--sigma", "nan", "embedding_noise_std"),
+    ])
+    def test_non_finite_setting(self, tmp_path, capsys, flag, value, name):
+        assert main(["gen-scenario", "--seed", "0", "--cams", "2", "--vehicles", "2",
+                     "--duration", "5", flag, value, "--out", str(tmp_path / "x")]) == 2
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and name in line
+        assert not (tmp_path / "x").exists()
 
 
 class TestEvalTrackErrors:
@@ -280,6 +319,41 @@ class TestEvalReid:
         (line,) = error_lines(capsys)
         # The header comment and 12 rows come first.
         assert line.startswith("error: ") and "g.csv, line 14" in line
+
+    @staticmethod
+    def eval_reid(p, *extra):
+        return main([
+            "eval-reid", "--query", str(p["query"]), "--gallery", str(p["gallery"]),
+            "--query-labels", str(p["query_labels"]),
+            "--gallery-labels", str(p["gallery_labels"]), *extra,
+        ])
+
+    @pytest.mark.parametrize("extra, name", [
+        (["--k1", "0"], "k1"),
+        (["--k1", "6", "--k2", "0"], "k2"),
+        (["--k1", "6", "--k2", "2", "--lambda-r", "2"], "lambda_r"),
+    ])
+    def test_bad_rerank_setting_is_a_config_error(self, embedding_files, capsys, extra, name):
+        assert self.eval_reid(embedding_files, "--rerank", *extra) == 2
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and name in line
+
+    def test_gallery_of_another_dimension(self, embedding_files, capsys):
+        p = embedding_files
+        write_embeddings(p["gallery"], read_embeddings(p["gallery"])[:, :6])
+        assert self.eval_reid(p) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "g.bin" in line and "q.bin" in line
+
+    @pytest.mark.parametrize("side", ["query", "gallery"])
+    def test_label_count_differs_from_embedding_count(self, embedding_files, capsys, side):
+        p = embedding_files
+        with open(p[f"{side}_labels"], "a") as fh:
+            fh.write("0,cam_c\n")
+        assert self.eval_reid(p) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ")
+        assert p[f"{side}_labels"].name in line and p[side].name in line
 
     def test_truncated_embedding_file(self, embedding_files, capsys):
         p = embedding_files

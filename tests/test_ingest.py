@@ -1,6 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mcvt.cli import _read_labels
 from mcvt.errors import MalformedInput
 from mcvt.ingest import (
     Detection,
@@ -12,6 +17,7 @@ from mcvt.ingest import (
     read_detection_csv,
     write_detection_csv,
 )
+from mcvt.metrics import load_global_trajectories, load_mot_trajectories
 
 
 def box(x1, y1, x2, y2, alpha=1.0, beta=VehicleClass.CAR):
@@ -121,3 +127,47 @@ def test_detection_csv_malformed_row_names_file_and_line(tmp_path, line):
     path.write_text("0,-1,1,2,3,4,0.5,1\n# note\n" + line + "\n")
     with pytest.raises(MalformedInput, match=r"det\.csv, line 3: bad detection row"):
         read_detection_csv(path)
+
+
+@pytest.mark.parametrize("data", [
+    b"0,-1,1,2,3,4,0.5,1\n\xff\xfe\x00\n",
+    b'0,"' + b"9" * 200_000 + b'"\n',  # a field beyond the csv module's limit
+], ids=["not-utf8", "oversized-field"])
+def test_detection_csv_that_is_not_csv_text(tmp_path, data):
+    path = tmp_path / "det.csv"
+    path.write_bytes(data)
+    with pytest.raises(MalformedInput, match=r"det\.csv, "):
+        read_detection_csv(path)
+
+
+# Fields a damaged or hand-written CSV can hold: small ids that repeat, camera
+# names, non-numbers, non-finite and overflowing values, zero-size boxes.
+_CSV_FIELDS = st.sampled_from(
+    ["0", "1", "2", "-1", "3.5", "0", "10", "c001", "x", "", "nan", "inf", "-inf", "1e400"]
+)
+_CSV_LINES = st.one_of(
+    st.lists(_CSV_FIELDS, min_size=1, max_size=9).map(",".join),
+    st.sampled_from(["", "# note", "#,1,2"]),
+)
+
+
+def _count_rows(loaded) -> int:
+    if isinstance(loaded, list):
+        return len(loaded)
+    return sum(len(entries) for entries in loaded.values())
+
+
+@pytest.mark.parametrize("load", [
+    read_detection_csv, load_mot_trajectories, load_global_trajectories, _read_labels,
+])
+@given(lines=st.lists(_CSV_LINES, max_size=12))
+def test_csv_loaders_on_generated_rows(tmp_path_factory, load, lines):
+    path = tmp_path_factory.mktemp("csv") / "gen.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    try:
+        loaded = load(path)
+    except MalformedInput as exc:
+        assert re.match(r"\S*gen\.csv, line \d+: bad ", str(exc))
+    else:
+        # Exactly the blank and comment lines are skipped.
+        assert _count_rows(loaded) == sum(1 for line in lines if line and line[0] != "#")

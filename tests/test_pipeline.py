@@ -1,11 +1,14 @@
 """Pipeline orchestration: config handling, offline runs, real-time pacing."""
 
+import dataclasses
 import json
 import threading
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcvt import kalman, pipeline
 from mcvt.errors import ConfigError, SourceMissing
@@ -18,7 +21,9 @@ from mcvt.pipeline import (
     VirtualClock,
     run,
 )
+from mcvt.mct import MctConfig
 from mcvt.reid import TemporalScorer
+from mcvt.sct import TrackerParams
 from mcvt.simkit import (
     NoiseProfile,
     gen_scenario,
@@ -75,6 +80,28 @@ class TestConfig:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"scenario_dir": "x", **kw})
+
+    @given(
+        place=st.sampled_from(
+            [("tracker", f.name) for f in dataclasses.fields(TrackerParams)]
+            + [("mct", f.name) for f in dataclasses.fields(MctConfig)]
+            + [(None, f.name) for f in dataclasses.fields(PipelineConfig)]
+        ),
+        value=st.one_of(
+            st.none(), st.booleans(), st.integers(-3, 3), st.just(10**400),
+            st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+            st.lists(st.integers(0, 3), max_size=2),
+            st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+        ),
+    )
+    def test_generated_setting_is_accepted_or_a_config_error(self, place, value):
+        section, name = place
+        data = {"scenario_dir": "x"}
+        data.update({name: value} if section is None else {section: {name: value}})
+        try:
+            PipelineConfig.from_dict(data)
+        except ConfigError:
+            pass
 
     def test_from_dict_nested_sections(self):
         cfg = PipelineConfig.from_dict({

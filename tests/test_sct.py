@@ -284,7 +284,7 @@ def reference_associate(tracks, frame, params):
                 if squared_mahalanobis(mean, cov, obs) > params.gating_threshold:
                     c = sct._INFEASIBLE
                 cost[gi, dj] = c
-        got, _, _ = sct._min_cost_matching(cost, params.matching_threshold)
+        got = sct._min_cost_matching(cost, params.matching_threshold)
         matches += [(group[gi], free_dets[dj]) for gi, dj in got]
         taken = {free_dets[dj] for _, dj in got}
         free_dets = [d for d in free_dets if d not in taken]
@@ -299,7 +299,7 @@ def reference_associate(tracks, frame, params):
             pred = Detection(x1, y1, x2, y2, alpha=1.0)
             for dj, di in enumerate(free_dets):
                 cost[ri, dj] = 1.0 - iou(pred, frame.detections[di])
-        got, _, _ = sct._min_cost_matching(cost, params.iou_max_cost)
+        got = sct._min_cost_matching(cost, params.iou_max_cost)
         matches += [(remaining[ri], free_dets[dj]) for ri, dj in got]
         taken = {free_dets[dj] for _, dj in got}
         free_dets = [d for d in free_dets if d not in taken]

@@ -76,15 +76,28 @@ class Homography:
         return f"Homography({self.m.tolist()})"
 
 
-def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in metres on a sphere of radius 6,371,000 m."""
-    if a == b:
-        return 0.0
-    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
+def haversine(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Element-wise great-circle distance in metres between points in degrees.
+
+    The sphere has radius 6,371,000 m.  Equal points are exactly 0.0 apart,
+    and swapping the two points gives the same bits, because the latitude and
+    longitude differences only change sign and the sine is odd.
+    """
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
-    dlam = math.radians(b.lon - a.lon)
-    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
+    dlam = np.radians(lon2 - lon1)
+    s = np.square(np.sin(dphi / 2.0)) + np.cos(phi1) * np.cos(phi2) * np.square(np.sin(dlam / 2.0))
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
+def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
+    """`haversine` for one pair of points.
+
+    The pair goes through as 1-element arrays, so it takes the same numpy
+    path as a long array and gives the same bits.
+    """
+    lat1, lon1, lat2, lon2 = np.array([[a.lat], [a.lon], [b.lat], [b.lon]], dtype=float)
+    return float(haversine(lat1, lon1, lat2, lon2)[0])
 
 
 def _normalization(points: np.ndarray) -> np.ndarray:

@@ -16,10 +16,10 @@ runs this at a fixed tick period over newly concluded tracks plus
 representatives of the identities it already holds, and flushes identities
 that have been inactive past a horizon.
 
-`candidate_similarity` is the one definition of the rules.  The similarity
-matrix calls it only on the pairs that rules 1, 2 and 4 let through, found as
-numpy masks over camera-membership, time and topology arrays; the direction
-and speed rules stay scalar.
+`build_similarity_matrix` is the one definition of the rules.  Rules 1, 2
+and 4 are numpy masks over camera-membership, time and topology arrays; the
+direction and speed rules are array expressions over the pairs the masks
+keep; the appearance term is computed for each pair that is left.
 
 Note on rule 3: the quadratic prior is normalized by v_max squared, the only
 scaling that makes it unitless with range [0, 1]; see README for discussion.
@@ -33,7 +33,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonPositiveDt, check_settings
-from .geo import CameraTopology, GeoPoint, are_adjacent, are_overlapping, haversine_distance
+from .geo import (
+    CameraTopology,
+    GeoPoint,
+    are_adjacent,
+    are_overlapping,
+    haversine,
+    haversine_distance,
+)
 from .reid import l2_normalize, mitigate_camera_bias
 from .sct import ConcludedTrack
 
@@ -158,104 +165,77 @@ class TrackPairContext:
         return haversine_distance(self.later.l_s, self.earlier.l_e)
 
 
+def _speed_prior(v, v_max: float):
+    """Rule 3's quadratic prior on transfer speed v: 1 at v_max/2, 0 at 0 and from v_max on."""
+    return np.maximum(0.0, 4.0 * v * (v_max - v) / v_max**2)
+
+
 def speed_similarity(ctx: TrackPairContext, v_max: float) -> float:
-    """Quadratic prior on the implied transfer speed, 1 at v_max/2, 0 at 0 and v_max."""
+    """The speed prior of one time-ordered pair, rated over its transfer gap."""
     if ctx.dt <= 0:
         raise NonPositiveDt(
             f"dt={ctx.dt}: overlapping or touching intervals should be rejected upstream"
         )
-    v = ctx.gap_distance / ctx.dt
-    return max(0.0, 4.0 * v * (v_max - v) / v_max**2)
-
-
-def direction_consistent(earlier, later) -> bool:
-    """True when the later track continues away from the earlier one.
-
-    Both the later track's start must be no closer to the earlier start than
-    to the earlier end, and the later end must move away from the earlier end.
-    """
-    d = haversine_distance
-    return (
-        d(earlier.l_s, later.l_s) >= d(earlier.l_e, later.l_s)
-        and d(later.l_e, earlier.l_e) >= d(later.l_s, earlier.l_e)
-    )
-
-
-def candidate_similarity(a: Candidate, b: Candidate, topo: CameraTopology, cfg: MctConfig) -> float:
-    """Rule-gated appearance similarity between two clustering candidates."""
-    if a.cameras & b.cameras:
-        return 0.0  # rule 1: camera exclusivity
-    earlier, later = (a, b) if a.sort_key <= b.sort_key else (b, a)
-    dt = later.t_s - earlier.t_e
-    views_overlap = are_overlapping(topo, earlier.end_camera, later.start_camera)
-    if dt <= 0 and not views_overlap:
-        return 0.0  # rule 2: temporal non-overlap
-    if cfg.use_adjacency and not are_adjacent(topo, earlier.end_camera, later.start_camera):
-        return 0.0  # rule 4: topology adjacency
-    if cfg.use_direction and not direction_consistent(earlier, later):
-        return 0.0  # rule 5: direction consistency
-    if dt > 0:
-        sim_v = speed_similarity(TrackPairContext(earlier, later), cfg.v_max)
-    else:
-        sim_v = 1.0  # overlapping views, no transfer gap to rate
-    appearance = 1.0 - np.linalg.norm(a.embedding - b.embedding) / 2.0
-    return max(0.0, appearance * sim_v)
-
-
-def _rule_mask(cands: list[Candidate], topo: CameraTopology, cfg: MctConfig) -> np.ndarray:
-    """(n, n) booleans: the pairs that rules 1, 2 and 4 do not reject.
-
-    Each pair is oriented as `candidate_similarity` orients it: by rank in
-    sort_key order, ties (never seen: candidates hold disjoint tracks) going
-    to the lower index.  A camera missing from the topology passes rules 2
-    and 4, so that the scalar check raises UnknownCamera as it always did.
-    """
-    index = {cid: k for k, cid in enumerate(topo.cameras)}
-    for c in cands:
-        for cid in c.cameras:
-            index.setdefault(cid, len(index))
-    member = np.zeros((len(cands), len(index)))
-    for i, c in enumerate(cands):
-        member[i, [index[cid] for cid in c.cameras]] = 1.0
-
-    def relation(pairs) -> np.ndarray:
-        rel = np.zeros((len(index), len(index)), dtype=bool)
-        for a, b in (tuple(pair) for pair in pairs):
-            rel[index[a], index[b]] = rel[index[b], index[a]] = True
-        rel[len(topo.cameras):, :] = rel[:, len(topo.cameras):] = True
-        return rel
-
-    rank = np.empty(len(cands), dtype=int)
-    rank[sorted(range(len(cands)), key=lambda k: cands[k].sort_key)] = np.arange(len(cands))
-    first = rank[:, None] < rank[None, :]
-
-    def oriented(m: np.ndarray) -> np.ndarray:
-        return np.where(first, m, m.T)  # m[i, j] assumes i is the earlier one
-
-    t_s = np.array([c.t_s for c in cands], dtype=float)
-    t_e = np.array([c.t_e for c in cands], dtype=float)
-    end = np.array([index[c.end_camera] for c in cands], dtype=int)[:, None]
-    start = np.array([index[c.start_camera] for c in cands], dtype=int)[None, :]
-    dt = oriented(t_s[None, :] - t_e[:, None])
-
-    keep = member @ member.T == 0.0  # rule 1
-    keep &= ~(dt <= 0) | oriented(relation(topo.overlap)[end, start])  # rule 2
-    if cfg.use_adjacency:
-        keep &= oriented(relation(topo.adjacency)[end, start])  # rule 4
-    return keep
+    return float(_speed_prior(ctx.gap_distance / ctx.dt, v_max))
 
 
 def build_similarity_matrix(tracks, topo: CameraTopology, cfg: MctConfig) -> np.ndarray:
     """Symmetric zero-diagonal matrix of rule-gated similarities.
 
-    Only pairs that pass the rule masks are scored.
+    Each pair is ordered by sort_key: the earlier candidate ends first, and
+    ties (never seen: candidates hold disjoint tracks) go to the lower index.
+    Rules 1, 2 and 4 are masks over all pairs; rules 5 and 3 are array
+    expressions over the pairs those masks keep; the appearance term is
+    computed for each pair left.  UnknownCamera is raised when a pair that
+    passes rule 1 has an earlier end camera or a later start camera that the
+    topology lacks.
     """
     cands = [t if isinstance(t, Candidate) else Candidate.from_track(t) for t in tracks]
     n = len(cands)
+    cameras = sorted({cid for c in cands for cid in c.cameras})
+    index = {cid: k for k, cid in enumerate(cameras)}
+    member = np.zeros((n, len(cameras)))
+    for i, c in enumerate(cands):
+        member[i, [index[cid] for cid in c.cameras]] = 1.0
+    rank = np.empty(n, dtype=int)
+    rank[sorted(range(n), key=lambda k: cands[k].sort_key)] = np.arange(n)
+    t_s, t_e, lat_s, lon_s, lat_e, lon_e = np.array(
+        [(c.t_s, c.t_e, c.l_s.lat, c.l_s.lon, c.l_e.lat, c.l_e.lon) for c in cands], dtype=float
+    ).reshape(n, 6).T
+
+    i, j = np.nonzero(np.triu(member @ member.T == 0.0, 1))  # rule 1: camera exclusivity
+    swap = rank[i] > rank[j]
+    early, late = np.where(swap, j, i), np.where(swap, i, j)
+
+    end = np.array([index[c.end_camera] for c in cands], dtype=int)[early]
+    start = np.array([index[c.start_camera] for c in cands], dtype=int)[late]
+    seen = np.zeros((len(cameras), len(cameras)), dtype=bool)
+    seen[end, start] = True
+    overlap, adjacent = np.zeros_like(seen), np.ones_like(seen)
+    for a, b in zip(*np.nonzero(seen)):
+        overlap[a, b] = are_overlapping(topo, cameras[a], cameras[b])
+        if cfg.use_adjacency:
+            adjacent[a, b] = are_adjacent(topo, cameras[a], cameras[b])
+    dt = t_s[late] - t_e[early]
+    keep = (dt > 0) | overlap[end, start]  # rule 2: temporal non-overlap
+    keep &= adjacent[end, start]  # rule 4: topology adjacency
+    early, late, dt = early[keep], late[keep], dt[keep]
+
+    gap = haversine(lat_s[late], lon_s[late], lat_e[early], lon_e[early])
+    if cfg.use_direction:  # rule 5: the later track moves on, away from the earlier one
+        keep = gap <= np.minimum(
+            haversine(lat_s[early], lon_s[early], lat_s[late], lon_s[late]),
+            haversine(lat_e[late], lon_e[late], lat_e[early], lon_e[early]),
+        )
+        early, late, dt, gap = early[keep], late[keep], dt[keep], gap[keep]
+    sim_v = np.ones(len(dt))  # overlapping views: no transfer gap to rate
+    moving = dt > 0
+    sim_v[moving] = _speed_prior(gap[moving] / dt[moving], cfg.v_max)  # rule 3: speed
+
     matrix = np.zeros((n, n))
-    rows, cols = np.nonzero(np.triu(_rule_mask(cands, topo, cfg), 1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        matrix[i, j] = matrix[j, i] = candidate_similarity(cands[i], cands[j], topo, cfg)
+    for i, j, v in zip(early.tolist(), late.tolist(), sim_v.tolist()):
+        appearance = 1.0 - np.linalg.norm(cands[i].embedding - cands[j].embedding) / 2.0
+        matrix[i, j] = matrix[j, i] = max(0.0, appearance * v)
     return matrix
 
 

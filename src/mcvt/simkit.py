@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidLayout, MalformedInput, UnknownIdentity, check_settings
+from .errors import InvalidLayout, MalformedInput, SettingError, UnknownIdentity, check_settings
 from .geo import (
     CameraInfo,
     GeoPoint,
@@ -47,6 +47,7 @@ ROW_SPACING_M = 600.0  # grid layout: latitude gap between parallel roads
 LANE_OFFSET_M = 2.5
 IMAGE_SIZE = (1280, 720)
 SPEED_RANGE = (8.0, 14.0)  # m/s
+MAX_FRAMES = 1_000_000  # frames per camera in a scenario: 27.7 h at 10 fps
 
 _CLASS_CHOICES = [VehicleClass.CAR, VehicleClass.BUS, VehicleClass.TRUCK,
                   VehicleClass.VAN, VehicleClass.SUV]
@@ -121,6 +122,9 @@ class Scenario:
     topology: object = None
 
     def __post_init__(self):
+        frames = self.duration_s * self.fps
+        if not frames <= MAX_FRAMES:  # NaN too
+            raise SettingError(f"duration_s * fps is {frames:g} frames, over {MAX_FRAMES}")
         if self.topology is None:
             self.topology = _build_topology(self.rows, self.cols, self.fps)
 
@@ -328,7 +332,7 @@ class NoiseProfile:
     def __post_init__(self):
         check_settings(
             vars(self), box_jitter_std=(float, "[0, inf)"), miss_rate=(float, "[0, 1)"),
-            false_positive_rate=(float, "[0, inf)"), embedding_noise_std=(float, "[0, inf)"),
+            false_positive_rate=(float, "[0, 100]"), embedding_noise_std=(float, "[0, inf)"),
         )
 
 

@@ -1,10 +1,15 @@
 """CLI surface: exit codes, JSON output lines, end-to-end command flow."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcvt
 from mcvt.cli import main
 from mcvt.reid import read_embeddings, write_embeddings
 from mcvt.simkit import NoiseProfile, gen_scenario, render_detections, write_scenario_dir
@@ -59,6 +64,14 @@ class TestWorkflow:
 
 def error_lines(capsys):
     return capsys.readouterr().err.splitlines()
+
+
+def run_cli_bounded(args, timeout_s=60.0):
+    """Run `python -m mcvt` in a child process that is killed after timeout_s,
+    for inputs that once made a run loop for ever."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mcvt.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "mcvt", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout_s)
 
 
 @pytest.fixture()
@@ -116,6 +129,7 @@ class TestRunErrors:
         ("sim.noise", "box_jitter_std", True),
         ("sim.noise", "false_positive_rate", float("nan")),
         ("sim.noise", "false_positive_rate", float("inf")),
+        ("sim.noise", "false_positive_rate", 1e19),
         ("sim.noise", "embedding_noise_std", float("nan")),
     ])
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, section, name, value):
@@ -201,6 +215,40 @@ class TestGenScenarioErrors:
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and name in line
         assert not (tmp_path / "x").exists()
+
+
+class TestFrameCountCap:
+    """A clip of more than simkit.MAX_FRAMES frames is refused before a frame is made."""
+
+    @pytest.mark.parametrize("duration_s, fps", [(30.0, 1e300), (1e300, 1e300), (1e6, 10.0)])
+    def test_inline_sim(self, tmp_path, duration_s, fps):
+        cfg = {"sim": {"seed": 1, "n_cams": 2, "n_vehicles": 4,
+                       "duration_s": duration_s, "fps": fps}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        done = run_cli_bounded(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert done.returncode == 2
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and "duration_s * fps" in line
+
+    def test_gen_scenario(self, tmp_path):
+        done = run_cli_bounded(["gen-scenario", "--seed", "0", "--cams", "2", "--vehicles", "2",
+                                "--duration", "5", "--fps", "1e300", "--out", str(tmp_path / "x")])
+        assert done.returncode == 2
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and "duration_s * fps" in line
+        assert not (tmp_path / "x").exists()
+
+    def test_scenario_dir(self, small_scenario):
+        meta = small_scenario / "scenario.json"
+        spec = json.loads(meta.read_text())
+        spec["sim"]["fps"] = 1e300
+        meta.write_text(json.dumps(spec))
+        done = run_cli_bounded(["run", "--scenario", str(small_scenario),
+                                "--out", str(small_scenario / "out")])
+        assert done.returncode == 1
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and "scenario.json" in line and "fps" in line
 
 
 class TestEvalTrackErrors:

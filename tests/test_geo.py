@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcvt.errors import ConfigError, DegenerateConfiguration, HorizonPoint, UnknownCamera
 from mcvt.geo import (
@@ -14,6 +16,7 @@ from mcvt.geo import (
     are_overlapping,
     estimate_homography,
     geo_to_pixel,
+    haversine,
     haversine_distance,
     load_topology,
     make_topology,
@@ -60,6 +63,42 @@ def test_haversine_equator_degree_and_symmetry():
 def test_haversine_antipodal_capped():
     d = haversine_distance(GeoPoint(0.0, 0.0), GeoPoint(0.0, -180.0))
     assert d == pytest.approx(math.pi * 6_371_000.0, rel=1e-12)
+
+
+points = st.builds(
+    GeoPoint,
+    lat=st.floats(-90.0, 90.0),
+    lon=st.floats(-180.0, 180.0, exclude_max=True),
+)
+
+
+@st.composite
+def point_pairs(draw):
+    """Any two points, one point twice, or a point and a near neighbour of its antipode."""
+    a = draw(points)
+    kind = draw(st.sampled_from(("any", "equal", "antipodal")))
+    if kind == "any":
+        return a, draw(points)
+    if kind == "equal":
+        return a, GeoPoint(a.lat, a.lon)
+    nudge = st.sampled_from((0.0, 1e-9, -1e-9, 1e-6))
+    lat = min(90.0, max(-90.0, -a.lat + draw(nudge)))
+    lon = (a.lon + draw(nudge)) % 360.0 - 180.0
+    return a, GeoPoint(lat, lon if lon < 180.0 else -180.0)
+
+
+@given(st.lists(point_pairs(), min_size=1, max_size=8))
+def test_one_pair_haversine_is_the_array_form(pairs):
+    lat1, lon1, lat2, lon2 = (
+        np.array([getattr(p, f) for p in ends]) for ends in zip(*pairs) for f in ("lat", "lon")
+    )
+    batch = haversine(lat1, lon1, lat2, lon2)
+    for (a, b), d in zip(pairs, batch.tolist()):
+        assert haversine_distance(a, b).hex() == d.hex()
+        assert haversine_distance(b, a).hex() == d.hex()
+        assert 0.0 <= d <= math.pi * 6_371_000.0
+        if a == b:
+            assert d.hex() == (0.0).hex()
 
 
 def test_homography_identity_roundtrip():

@@ -2,15 +2,17 @@
 
 Geometry below lives on the equator where one metre is 1/111194.9266 of a
 longitude degree, so every distance used in a rule is a round number of
-metres.
+metres.  The rule unit tests read each rule off a two-candidate matrix.
 
-The rule-masked similarity path is checked against the plain double loop
-(`reference_similarity_matrix`), and the supervisor against a store rebuilt
-from fresh identity objects at every tick, so that no candidate cached on an
-identity can carry over; both on generated candidates and tick sequences.
+The similarity matrix is checked against the plain double loop over the
+scalar rules (`reference_similarity_matrix`) on generated candidates on a
+two-row camera grid off the equator, and the supervisor against a store
+rebuilt from fresh identity objects at every tick, so that no candidate
+cached on an identity can carry over.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mcvt.errors import NonPositiveDt, UnknownCamera
-from mcvt.geo import CameraInfo, GeoPoint, Homography, make_topology
+from mcvt.geo import (
+    CameraInfo,
+    GeoPoint,
+    Homography,
+    are_adjacent,
+    are_overlapping,
+    haversine_distance,
+    make_topology,
+)
 from mcvt.ingest import Detection, VehicleClass
 from mcvt.mct import (
     Candidate,
@@ -28,8 +38,6 @@ from mcvt.mct import (
     TrackPairContext,
     apply_min_threshold,
     build_similarity_matrix,
-    candidate_similarity,
-    direction_consistent,
     hierarchical_cluster,
     identities_to_trajectories,
     speed_similarity,
@@ -82,6 +90,13 @@ CFG = MctConfig()
 cand = Candidate.from_track
 
 
+def pair_similarity(a, b, topo=TOPO, cfg=CFG):
+    """The rule-gated similarity of two tracks, read off their matrix."""
+    matrix = build_similarity_matrix([a, b], topo, cfg)
+    assert matrix[0, 1] == matrix[1, 0]
+    return matrix[0, 1]
+
+
 class Endpoints:
     def __init__(self, t_s, t_e, x_s, x_e):
         self.t_s, self.t_e = t_s, t_e
@@ -126,71 +141,73 @@ class TestSpeedSimilarity:
 
 
 class TestDirectionRule:
+    """Rule 5 between an eastbound A track (0 -> 60 m) and a later B track."""
+
+    @staticmethod
+    def consistent(x_s, x_e):
+        earlier = ct("A", 1, 0, 6, 0.0, 60.0)
+        later = ct("B", 1, 15, 21, x_s, x_e)
+        # Every other rule lets the pair through.
+        assert pair_similarity(earlier, later, cfg=MctConfig(use_direction=False)) > 0.0
+        return pair_similarity(earlier, later) > 0.0
+
     def test_continuing_east_is_consistent(self):
-        earlier = Endpoints(0, 6, 0.0, 60.0)
-        later = Endpoints(15, 21, 150.0, 210.0)
-        assert direction_consistent(earlier, later)
+        assert self.consistent(150.0, 210.0)
 
     def test_oncoming_vehicle_rejected(self):
         # Westbound track at the next camera: its start (210) passes the
         # first test but its end (150) moves back toward the earlier exit.
-        earlier = Endpoints(0, 6, 0.0, 60.0)
-        later = Endpoints(15, 21, 210.0, 150.0)
-        assert not direction_consistent(earlier, later)
+        assert not self.consistent(210.0, 150.0)
 
     def test_track_behind_start_rejected(self):
-        earlier = Endpoints(0, 6, 0.0, 60.0)
-        later = Endpoints(15, 21, -90.0, -30.0)
-        assert not direction_consistent(earlier, later)
+        assert not self.consistent(-90.0, -30.0)
 
 
 class TestCandidateSimilarity:
     def test_same_camera_is_zero(self):
         a = ct("A", 1, 0, 6, 0, 60)
         b = ct("A", 2, 15, 21, 0, 60)
-        assert candidate_similarity(cand(a), cand(b), TOPO, CFG) == 0.0
+        assert pair_similarity(a, b) == 0.0
 
     def test_matching_pair_scores_speed_prior(self):
         a = ct("A", 1, 0, 6, 0, 60)
         b = ct("B", 1, 15, 21, 150, 210)  # 90 m in 9 s -> v = 10
-        sim = candidate_similarity(cand(a), cand(b), TOPO, CFG)
+        sim = pair_similarity(a, b)
         assert sim == pytest.approx(0.75, abs=1e-9)
         # Argument order must not matter.
-        assert candidate_similarity(cand(b), cand(a), TOPO, CFG) == sim
+        assert pair_similarity(b, a) == sim
 
     def test_appearance_scales_similarity(self):
         a = ct("A", 1, 0, 6, 0, 60, emb=E1)
         b = ct("B", 1, 15, 21, 150, 210, emb=E2)
         # Orthogonal unit embeddings: appearance = 1 - sqrt(2)/2.
         expected = (1.0 - math.sqrt(2) / 2.0) * 0.75
-        assert candidate_similarity(cand(a), cand(b), TOPO, CFG) == pytest.approx(expected, abs=1e-9)
+        assert pair_similarity(a, b) == pytest.approx(expected, abs=1e-9)
 
     def test_temporal_overlap_rejected_without_view_overlap(self):
         a = ct("A", 1, 0, 6, 0, 60)
         b = ct("B", 1, 3, 9, 150, 210)
-        assert candidate_similarity(cand(a), cand(b), TOPO, CFG) == 0.0
+        assert pair_similarity(a, b) == 0.0
 
     def test_temporal_overlap_allowed_with_view_overlap(self):
         topo = corridor_topology(overlap=[("A", "B")])
         a = ct("A", 1, 0, 6, 0, 60)
         b = ct("B", 1, 3, 9, 150, 210)
         # Shared field of view: no transfer gap to rate, appearance decides.
-        assert candidate_similarity(cand(a), cand(b), topo, CFG) == pytest.approx(1.0)
+        assert pair_similarity(a, b, topo) == pytest.approx(1.0)
 
     def test_adjacency_rule_toggles(self):
         a = ct("A", 1, 0, 6, 0, 60)
         c = ct("C", 1, 26, 32, 300, 360)  # 240 m in 20 s -> v = 12
-        assert candidate_similarity(cand(a), cand(c), TOPO, CFG) == 0.0
-        relaxed = MctConfig(use_adjacency=False)
-        sim = candidate_similarity(cand(a), cand(c), TOPO, relaxed)
+        assert pair_similarity(a, c) == 0.0
+        sim = pair_similarity(a, c, cfg=MctConfig(use_adjacency=False))
         assert sim == pytest.approx(4 * 12 * 28 / 1600, abs=1e-9)
 
     def test_direction_rule_toggles(self):
         a = ct("A", 1, 0, 6, 0, 60)
         b = ct("B", 1, 15, 21, 210, 150)  # oncoming
-        assert candidate_similarity(cand(a), cand(b), TOPO, CFG) == 0.0
-        relaxed = MctConfig(use_direction=False)
-        assert candidate_similarity(cand(a), cand(b), TOPO, relaxed) > 0.0
+        assert pair_similarity(a, b) == 0.0
+        assert pair_similarity(a, b, cfg=MctConfig(use_direction=False)) > 0.0
 
     def test_similarity_matrix_properties(self):
         tracks = [
@@ -339,6 +356,40 @@ class TestSupervisor:
 # ------------------------------------- masks and cached candidates vs the plain loop
 
 
+def direction_consistent(earlier, later) -> bool:
+    """True when the later track continues away from the earlier one.
+
+    Both the later track's start must be no closer to the earlier start than
+    to the earlier end, and the later end must move away from the earlier end.
+    """
+    d = haversine_distance
+    return (
+        d(earlier.l_s, later.l_s) >= d(earlier.l_e, later.l_s)
+        and d(later.l_e, earlier.l_e) >= d(later.l_s, earlier.l_e)
+    )
+
+
+def candidate_similarity(a: Candidate, b: Candidate, topo, cfg: MctConfig) -> float:
+    """Rule-gated appearance similarity between two clustering candidates."""
+    if a.cameras & b.cameras:
+        return 0.0  # rule 1: camera exclusivity
+    earlier, later = (a, b) if a.sort_key <= b.sort_key else (b, a)
+    dt = later.t_s - earlier.t_e
+    views_overlap = are_overlapping(topo, earlier.end_camera, later.start_camera)
+    if dt <= 0 and not views_overlap:
+        return 0.0  # rule 2: temporal non-overlap
+    if cfg.use_adjacency and not are_adjacent(topo, earlier.end_camera, later.start_camera):
+        return 0.0  # rule 4: topology adjacency
+    if cfg.use_direction and not direction_consistent(earlier, later):
+        return 0.0  # rule 5: direction consistency
+    if dt > 0:
+        sim_v = speed_similarity(TrackPairContext(earlier, later), cfg.v_max)
+    else:
+        sim_v = 1.0  # overlapping views, no transfer gap to rate
+    appearance = 1.0 - np.linalg.norm(a.embedding - b.embedding) / 2.0
+    return max(0.0, appearance * sim_v)
+
+
 def reference_similarity_matrix(tracks, topo, cfg):
     """The plain double loop: every pair through candidate_similarity."""
     cands = [t if isinstance(t, Candidate) else Candidate.from_track(t) for t in tracks]
@@ -360,55 +411,89 @@ def corridor4(adjacent, overlap):
     return make_topology(cams, adjacent=adjacent, overlap=overlap)
 
 
+# A two-row camera grid at latitude 48: rows 120 m apart, columns 150 m.
+GRID_ROWS = (("A", "B", "C"), ("D", "E", "F"))
+GRID_XY = {
+    camera: (30.0 + 150.0 * col, 120.0 * row)
+    for row, cameras in enumerate(GRID_ROWS)
+    for col, camera in enumerate(cameras)
+}
+GRID_ROUTES = GRID_ROWS + tuple(zip(*GRID_ROWS))  # west to east, south to north
+
+
+def grid_point(x_m, y_m):
+    return GeoPoint(lat=48.0 + y_m / METERS_PER_DEGREE, lon=x_m / METERS_PER_DEGREE)
+
+
+def grid_track(camera, tid, t_s, t_e, start, end, emb):
+    """A track on the grid from point `start` to point `end`, both (x, y) in metres."""
+    track = ct(camera, tid, t_s, t_e, 0.0, 0.0, emb=emb)
+    return replace(track, l_s=grid_point(*start), l_e=grid_point(*end))
+
+
 @st.composite
-def topologies(draw):
-    pairs = [(a, b) for i, a in enumerate(CORRIDOR) for b in CORRIDOR[i + 1:]]
+def grid_topologies(draw):
+    cameras = sorted(GRID_XY)
+    pairs = [(a, b) for i, a in enumerate(cameras) for b in cameras[i + 1:]]
     adjacent = [p for p in pairs if draw(st.booleans())]
     overlap = [p for p in adjacent if draw(st.booleans())]
-    return corridor4(adjacent, overlap)
+    cams = [
+        CameraInfo(c, grid_point(*GRID_XY[c]), Homography.identity(), 10.0) for c in cameras
+    ]
+    return make_topology(cams, adjacent=adjacent, overlap=overlap)
 
 
 @st.composite
 def similarity_cases(draw):
-    """(candidates, topology, config) on a 4-camera corridor.
+    """(candidates, topology, config) on a two-row grid of six cameras.
 
-    Vehicles drive east or west past some of the cameras; each vehicle's
-    tracks are split into runs of single tracks and multi-member identities,
-    so many pairs pass every rule.  Integer times make equal t_e values and
-    touching or overlapping intervals common.  Unrelated tracks are mixed in,
-    now and then on a camera the topology lacks.
+    Vehicles drive along a row or a column in either direction, each in its
+    own lane, past some of its cameras; each vehicle's tracks are split into
+    runs of single tracks and multi-member identities, so many pairs pass
+    every rule.  Integer times make equal t_e values and touching or
+    overlapping intervals common.  Unrelated tracks are mixed in, now and
+    then on a camera the topology lacks.
     """
-    topo = draw(topologies())
+    topo = draw(grid_topologies())
     cfg = MctConfig(use_adjacency=draw(st.booleans()), use_direction=draw(st.booleans()))
     ids = iter(range(1, 100))
     cands = []
     for _ in range(draw(st.integers(0, 4))):
-        route = CORRIDOR if draw(st.booleans()) else CORRIDOR[::-1]
-        sign = 1.0 if route[0] == "A" else -1.0
+        route = draw(st.sampled_from(GRID_ROUTES))
+        if draw(st.booleans()):
+            route = route[::-1]
+        (x0, y0), (x1, y1) = GRID_XY[route[0]], GRID_XY[route[1]]
+        length = math.hypot(x1 - x0, y1 - y0)
+        ux, uy = (x1 - x0) / length, (y1 - y0) / length
+        lane = draw(st.sampled_from((-3.5, 0.0, 3.5)))
         t0, gap = draw(st.integers(0, 20)), draw(st.sampled_from((-3, 0, 3, 9, 15)))
         emb = draw(st.sampled_from(EMBEDDINGS))
         run: list = []
         for k, camera in enumerate(route):
             if not draw(st.booleans()):
                 continue
-            x, t_s = CAMERA_X[camera], t0 + k * (6 + gap)
-            run.append(ct(camera, next(ids), t_s, t_s + 6, x - 30 * sign, x + 30 * sign, emb=emb))
+            x, y = GRID_XY[camera]
+            x, y, t_s = x - lane * uy, y + lane * ux, t0 + k * (6 + gap)
+            run.append(grid_track(
+                camera, next(ids), t_s, t_s + 6,
+                (x - 30 * ux, y - 30 * uy), (x + 30 * ux, y + 30 * uy), emb,
+            ))
             if k == len(route) - 1 or draw(st.booleans()):
                 if len(run) > 1 or draw(st.booleans()):
                     cands.append(Candidate.from_identity(MultiCameraTrack(next(ids), run)))
                 else:
                     cands.append(cand(run[0]))
                 run = []
-    cameras = CORRIDOR + ("Z",)
+    known = sorted(GRID_XY)
+    offsets = st.sampled_from((-30.0, 0.0, 30.0))
     for _ in range(draw(st.integers(0, 4))):
-        camera = draw(st.sampled_from(cameras)) if draw(st.integers(0, 4)) == 0 else \
-            draw(st.sampled_from(CORRIDOR))
-        x, t_s = CAMERA_X.get(camera, 600.0), draw(st.integers(0, 60))
-        cands.append(cand(ct(
+        camera = draw(st.sampled_from(known + ["Z"])) if draw(st.integers(0, 4)) == 0 else \
+            draw(st.sampled_from(known))
+        (x, y), t_s = GRID_XY.get(camera, (600.0, 60.0)), draw(st.integers(0, 60))
+        cands.append(cand(grid_track(
             camera, next(ids), t_s, t_s + draw(st.integers(0, 8)),
-            x + draw(st.sampled_from((-30.0, 0.0, 30.0))),
-            x + draw(st.sampled_from((-30.0, 0.0, 30.0))),
-            emb=draw(st.sampled_from(EMBEDDINGS)),
+            (x + draw(offsets), y + draw(offsets)), (x + draw(offsets), y + draw(offsets)),
+            draw(st.sampled_from(EMBEDDINGS)),
         )))
     return draw(st.permutations(cands)), topo, cfg
 

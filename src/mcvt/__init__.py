@@ -2,7 +2,7 @@
 
 from .errors import McvtError
 from .geo import CameraInfo, CameraTopology, GeoPoint, Homography, haversine_distance
-from .ingest import Detection, FrameRecord, TickBatch, VehicleClass
+from .ingest import Detection, FrameRecord, VehicleClass
 from .mct import MctConfig, MultiCameraStore, MultiCameraTrack, supervisor_tick
 from .metrics import evaluate_identity, evaluate_mota
 from .pipeline import PipelineConfig, RunReport, run
@@ -25,7 +25,6 @@ __all__ = [
     "PipelineConfig",
     "RunReport",
     "SingleCameraTracker",
-    "TickBatch",
     "TrackerParams",
     "VehicleClass",
     "evaluate_identity",

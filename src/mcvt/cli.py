@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: run (pipeline), gen-scenario (simulator files), eval-sct /
-eval-mct / eval-reid (scoring), losses-check (gradient self-test).  Exit
-codes: 0 success, 2 configuration problems, 1 runtime failures (an input file
-that does not parse among them).
+eval-mct / eval-reid (scoring).  Exit codes: 0 success, 2 configuration
+problems, 1 runtime failures (an input file that does not parse among them).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import losses, metrics, pipeline, reid, simkit
+from . import metrics, pipeline, reid, simkit
 from .errors import ConfigError, MalformedInput, McvtError, SourceMissing
 from .ingest import read_csv_rows
 
@@ -174,65 +173,6 @@ def _cmd_eval_reid(args) -> int:
     return 0
 
 
-def _central_difference(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    out = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = fn()
-        flat[i] = orig - eps
-        lo = fn()
-        flat[i] = orig
-        out[i] = (hi - lo) / (2.0 * eps)
-    return grad
-
-
-def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    denom = max(1.0, float(np.linalg.norm(numeric)))
-    return float(np.linalg.norm(analytic - numeric)) / denom
-
-
-def _cmd_losses_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    worst_triplet = worst_ce = 0.0
-    for _ in range(args.trials):
-        feats = rng.normal(size=(8, 4))
-        ids = np.repeat(np.arange(4), 2)
-        _, grad = losses.batch_hard_triplet_with_grad(feats, ids, margin=0.3)
-        fd = _central_difference(lambda: losses.batch_hard_triplet(feats, ids, 0.3), feats)
-        worst_triplet = max(worst_triplet, _rel_err(grad, fd))
-
-        n, d, c = 6, 3, 4
-        feats = rng.normal(size=(n, d))
-        weight = rng.normal(size=(c, d))
-        bias = rng.normal(size=c)
-        targets = np.stack(
-            [losses.smooth_targets(int(rng.integers(c)), c, 0.1) for _ in range(n)]
-        )
-        _, dfeat, dw, db = losses.smoothed_cross_entropy_with_grad(feats, targets, weight, bias)
-        loss_fn = lambda: losses.smoothed_cross_entropy(feats, targets, weight, bias)  # noqa: E731
-        err = max(
-            _rel_err(dfeat, _central_difference(loss_fn, feats)),
-            _rel_err(dw, _central_difference(loss_fn, weight)),
-            _rel_err(db, _central_difference(loss_fn, bias)),
-        )
-        worst_ce = max(worst_ce, err)
-
-    schedule_ok = (
-        losses.excitation_schedule(0, 10) == 1.0
-        and losses.excitation_schedule(5, 10) == 0.5
-        and losses.excitation_schedule(10, 10) == 0.0
-    )
-    ok_triplet = worst_triplet <= 1e-5
-    ok_ce = worst_ce <= 1e-5
-    print(f"triplet gradient   {'PASS' if ok_triplet else 'FAIL'} (max rel err {worst_triplet:.2e})")
-    print(f"cross entropy grad {'PASS' if ok_ce else 'FAIL'} (max rel err {worst_ce:.2e})")
-    print(f"excitation anchors {'PASS' if schedule_ok else 'FAIL'} (1.0 / 0.5 / 0.0)")
-    return 0 if ok_triplet and ok_ce and schedule_ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcvt", description="Multi-camera vehicle tracking toolkit"
@@ -283,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=int, default=6)
     p.add_argument("--lambda-r", type=float, default=0.3)
     p.set_defaults(handler=_cmd_eval_reid)
-
-    p = sub.add_parser("losses-check", help="finite-difference check of the loss gradients")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
-    p.set_defaults(handler=_cmd_losses_check)
     return parser
 
 

@@ -8,10 +8,8 @@ the spatio-temporal association rules, so no full extrinsic pose is needed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -67,10 +65,6 @@ class Homography:
             m = m / m[2, 2]
         self.m = m
         self._inv = np.linalg.inv(m)
-
-    @classmethod
-    def identity(cls) -> "Homography":
-        return cls(np.eye(3))
 
     def __repr__(self):
         return f"Homography({self.m.tolist()})"
@@ -230,8 +224,8 @@ def are_overlapping(topo: CameraTopology, c1: str, c2: str) -> bool:
     return frozenset((c1, c2)) in topo.overlap
 
 
-def load_topology(path) -> CameraTopology:
-    """Load a camera topology from its JSON file.
+def topology_from_dict(spec: dict) -> CameraTopology:
+    """Build a topology from its parsed JSON form (the ``topology`` of scenario.json).
 
     Expected shape::
 
@@ -241,20 +235,9 @@ def load_topology(path) -> CameraTopology:
          "overlap": [...]}
 
     A camera may carry a literal row-major 9-element ``homography`` array
-    instead of ``homography_pairs`` (>= 4 pairs otherwise).
+    instead of ``homography_pairs`` (>= 4 pairs otherwise).  A camera entry
+    or relation that does not fit raises ConfigError.
     """
-    path = Path(path)
-    try:
-        spec = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"topology file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"topology file {path} is not valid JSON: {exc}") from exc
-    return topology_from_dict(spec)
-
-
-def topology_from_dict(spec: dict) -> CameraTopology:
-    """Build a topology from an already-parsed dict of the JSON shape above."""
     cameras = []
     for cam in spec.get("cameras", []):
         try:
@@ -280,7 +263,7 @@ def topology_from_dict(spec: dict) -> CameraTopology:
 
 
 def topology_to_dict(topo: CameraTopology) -> dict:
-    """Serialize a topology back into the JSON shape read by load_topology."""
+    """Serialize a topology back into the JSON shape read by topology_from_dict."""
     return {
         "cameras": [
             {

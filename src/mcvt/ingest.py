@@ -1,4 +1,4 @@
-"""Detection records, confidence filtering, NMS and per-tick batching.
+"""Detection records, confidence filtering, NMS and CSV input.
 
 Detections arrive either from per-camera MOTChallenge-style CSV files
 (``frame,id,x,y,w,h,conf,class`` with id == -1 for raw detections) or from the
@@ -90,14 +90,6 @@ class FrameRecord:
         dets = [self.detections[i] for i in indices]
         emb = self.embeddings[list(indices)] if self.embeddings is not None else None
         return FrameRecord(self.camera, self.frame_index, self.timestamp, dets, emb)
-
-
-@dataclass
-class TickBatch:
-    """Frames from all ready cameras at one tick, at most one per camera."""
-
-    tick: int
-    frames: list[FrameRecord] = field(default_factory=list)
 
 
 def filter_confidence_indices(dets: list[Detection], alpha_min: float) -> list[int]:

@@ -202,15 +202,6 @@ def stack_states(states) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([s.mean for s in states]), np.stack([s.cov for s in states])
 
 
-def gating_matrix(states, measurements: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distances of N measurements against T projected states.
-
-    ``measurements`` is an (N, 4) array of (u, v, r, h) rows; entry [t, n] is
-    the distance of measurement n from state t.
-    """
-    return mahalanobis_matrix(innovation_factors(*stack_states(states)), measurements)
-
-
 def box_observations(boxes: np.ndarray) -> np.ndarray:
     """Row-wise ``to_observation`` of (N, 4) corner boxes: (N, 4) (u, v, r, h)."""
     x1, y1, x2, y2 = np.asarray(boxes, dtype=float).T
@@ -220,8 +211,9 @@ def box_observations(boxes: np.ndarray) -> np.ndarray:
 def gating_distance(s: KalmanState, obs: Observation) -> float:
     """Squared Mahalanobis distance of one observation against the projected state.
 
-    The one-pair form of ``gating_matrix``; the tracker gates a whole camera
-    frame with one ``mahalanobis_matrix`` call instead.  The association gate
-    passes iff the value is <= GATING_THRESHOLD.
+    The one-pair form of ``mahalanobis_matrix``; the tracker gates a whole
+    camera frame with one ``mahalanobis_matrix`` call instead.  The
+    association gate passes iff the value is <= GATING_THRESHOLD.
     """
-    return float(gating_matrix([s], obs.as_vector()[None])[0, 0])
+    factors = innovation_factors(s.mean[None], s.cov[None])
+    return float(mahalanobis_matrix(factors, obs.as_vector()[None])[0, 0])

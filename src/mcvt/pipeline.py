@@ -4,8 +4,8 @@ One single-threaded engine runs every mode, stepped by a clock with ``now()``
 and ``sleep_until(t)``.  Frame i of every camera is due at i/fps.  Due frames
 enter a per-camera deque holding QUEUE_SECONDS of frames; when a deque is full
 its oldest frame is dropped and counted.  Each tick pops at most one frame per
-camera into one TickBatch, consults the embedding provider once for the batch
-(it stands in for a shared GPU inference service), steps the trackers of all
+camera, consults the embedding provider once for that list of frames (it
+stands in for a shared GPU inference service), steps the trackers of all
 its frames as one batch (``sct.step_cameras``: one stacked Kalman predict,
 gating factorisation and update per tick, however many cameras), and hands
 concluded tracks to the cross-camera supervisor once the clock passes its
@@ -33,7 +33,7 @@ import numpy as np
 from . import simkit
 from .errors import ConfigError, SourceMissing, check_settings
 from .geo import CameraTopology
-from .ingest import FrameRecord, TickBatch, filter_confidence_indices, nms_indices
+from .ingest import FrameRecord, filter_confidence_indices, nms_indices
 from .mct import (
     MctConfig,
     MultiCameraStore,
@@ -125,8 +125,8 @@ class RunReport:
 class PassThroughProvider:
     """Uses the embeddings already attached to each frame (oracle/file source)."""
 
-    def __call__(self, batch: TickBatch):
-        return [frame.embeddings for frame in batch.frames]
+    def __call__(self, frames: list[FrameRecord]):
+        return [frame.embeddings for frame in frames]
 
 
 class VirtualClock:
@@ -202,11 +202,12 @@ def _build_trackers(topo: CameraTopology, fps: float, cfg: PipelineConfig):
 def run(cfg: PipelineConfig, provider=None, clock=None) -> RunReport:
     """Execute the pipeline; returns the report (identities attached).
 
-    ``provider`` maps a TickBatch to one embedding array per frame (default:
-    the embeddings the source carries).  ``clock`` paces the run (default: a
-    WallClock when ``cfg.real_time`` is set, else a VirtualClock).  When
-    out_dir is set, writes global_tracks.csv, identities.json, report.json,
-    and one sct_<camera>.csv per camera.
+    ``provider`` maps a tick's list of FrameRecords, at most one per camera,
+    to one embedding array per frame (default: the embeddings the source
+    carries).  ``clock`` paces the run (default: a WallClock when
+    ``cfg.real_time`` is set, else a VirtualClock).  When out_dir is set,
+    writes global_tracks.csv, identities.json, report.json, and one
+    sct_<camera>.csv per camera.
     """
     topo, streams, fps, n_frames = _load_source(cfg)
     if provider is None:
@@ -251,15 +252,14 @@ def _run_engine(cfg, topo, streams, fps, n_frames, trackers, provider, clock):
 
         tick_started = time.perf_counter()
         frames = [_prepare(queues[cid].popleft(), cfg) for cid in cameras if queues[cid]]
-        batch = TickBatch(tick=len(latencies), frames=frames)
-        for record, emb in zip(batch.frames, provider(batch)):
+        for record, emb in zip(frames, provider(frames)):
             if record.detections and emb is None:
                 raise SourceMissing(
                     f"camera {record.camera}: detections without embeddings"
                 )
             record.embeddings = emb
-        stepped = step_cameras([(trackers[record.camera], record) for record in batch.frames])
-        for record, (_, concluded) in zip(batch.frames, stepped):
+        stepped = step_cameras([(trackers[record.camera], record) for record in frames])
+        for record, (_, concluded) in zip(frames, stepped):
             processed[record.camera] += 1
             n_concluded += len(concluded)
             pending.extend(concluded)

@@ -3,10 +3,10 @@
 Frame-level embeddings come from a pluggable provider (the simulator's oracle,
 a file, or something external); this module owns everything downstream of
 that: softmax-weighted temporal aggregation of a track's feature sequence into
-one unit vector, flip-view averaging, per-camera bias subtraction,
-k-reciprocal re-ranking of distance matrices, and track-level re-id scoring
-(mAP / CMC).  Also defines the EMB1 binary container used to ship embeddings
-and scorer weights between tools.
+one unit vector, per-camera bias subtraction, k-reciprocal re-ranking of
+distance matrices, and track-level re-id scoring (mAP / CMC).  Also defines
+the EMB1 binary container used to ship embeddings and scorer weights between
+tools.
 """
 
 from __future__ import annotations
@@ -72,10 +72,6 @@ class TemporalScorer:
                 raise ValueError(f"conv2 must have shape (1, 64, 3), got {conv2.shape}")
         self.conv1 = conv1
         self.conv2 = conv2
-
-    @property
-    def kind(self) -> str:
-        return "uniform" if self.conv1 is None else "learned_conv"
 
     def scores(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)

@@ -32,7 +32,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import kalman
 from .errors import EmptyGallery, OutOfOrderFrame, check_settings
-from .geo import GeoPoint, Homography, pixel_to_geo
+from .geo import GeoPoint, Homography, PixelPoint, pixel_to_geo
 from .ingest import Detection, FrameRecord, VehicleClass, iou_matrix
 from .kalman import KalmanState, observation_to_box, to_observation
 from .reid import l2_normalize, temporal_aggregate
@@ -342,8 +342,6 @@ class SingleCameraTracker:
         last_frame, last_det = track.boxes[-1]
 
         def bottom_center(det: Detection) -> GeoPoint:
-            from .geo import PixelPoint
-
             return pixel_to_geo(
                 self.homography, PixelPoint((det.x1 + det.x2) / 2.0, det.y2)
             )

@@ -36,7 +36,7 @@ from .geo import (
 )
 from .ingest import Detection, FrameRecord, VehicleClass, read_detection_csv, write_detection_csv
 from .metrics import load_mot_trajectories, write_mot_trajectories
-from .reid import read_embeddings, write_embedding_block
+from .reid import read_embeddings, write_embeddings
 
 METERS_PER_DEGREE = math.pi * 6_371_000.0 / 180.0  # meridian degree, ~111194.93 m
 
@@ -48,6 +48,8 @@ LANE_OFFSET_M = 2.5
 IMAGE_SIZE = (1280, 720)
 SPEED_RANGE = (8.0, 14.0)  # m/s
 MAX_FRAMES = 1_000_000  # frames per camera in a scenario: 27.7 h at 10 fps
+MAX_VEHICLES = 10_000  # vehicles gen_scenario makes: 50 times the largest benchmark workload
+MAX_EMBED_DIM = 2048  # gen_scenario's embedding width: a ResNet-50 pooled feature
 
 _CLASS_CHOICES = [VehicleClass.CAR, VehicleClass.BUS, VehicleClass.TRUCK,
                   VehicleClass.VAN, VehicleClass.SUV]
@@ -95,17 +97,6 @@ class VehicleSpec:
         if 0.0 <= x <= road_length:
             return x
         return None
-
-    def path(self, road_length: float) -> list[tuple[float, GeoPoint]]:
-        """Entry and exit waypoints (piecewise-linear, constant speed)."""
-        x0 = 0.0 if self.direction > 0 else road_length
-        x1 = road_length - x0
-        lat = (self.row * ROW_SPACING_M + self.lane_offset_m) / METERS_PER_DEGREE
-        t1 = self.entry_time + road_length / self.speed
-        return [
-            (self.entry_time, GeoPoint(lat, x0 / METERS_PER_DEGREE)),
-            (t1, GeoPoint(lat, x1 / METERS_PER_DEGREE)),
-        ]
 
 
 @dataclass
@@ -204,8 +195,8 @@ def gen_scenario(
     """
     check_settings(
         locals(), seed=(int, "[0, inf)"), n_cams=(int, "[1, inf)"),
-        n_vehicles=(int, "[0, inf)"), duration_s=(float, "(0, inf)"),
-        fps=(float, "(0, inf)"), embed_dim=(int, "[1, inf)"),
+        n_vehicles=(int, f"[0, {MAX_VEHICLES}]"), duration_s=(float, "(0, inf)"),
+        fps=(float, "(0, inf)"), embed_dim=(int, f"[1, {MAX_EMBED_DIM}]"),
     )
     if layout == "corridor":
         rows, cols = 1, n_cams
@@ -385,7 +376,6 @@ def render_detections(
     gt: GroundTruth,
     profile: NoiseProfile,
     oracle: EmbeddingOracle | None = None,
-    seed: int | None = None,
 ) -> dict[str, list[FrameRecord]]:
     """Noisy per-camera detection streams (one FrameRecord per frame, gaps kept).
 
@@ -394,13 +384,12 @@ def render_detections(
     random embeddings, and true boxes carry oracle embeddings of their id.
     Each (camera, frame) owns its RNG stream, so rendering order is free.
     """
-    seed = scenario.seed if seed is None else seed
     if oracle is None:
         oracle = EmbeddingOracle(
             [v.global_id for v in scenario.vehicles],
             dim=scenario.embed_dim,
             sigma=profile.embedding_noise_std,
-            seed=seed,
+            seed=scenario.seed,
         )
     width, height = scenario.image_size
     streams: dict[str, list[FrameRecord]] = {}
@@ -408,7 +397,7 @@ def render_detections(
         frames = []
         per_frame = gt.boxes.get(cid, {})
         for frame in range(scenario.n_frames):
-            rng = _stream(seed, _TAG_RENDER, cam_index, frame)
+            rng = _stream(scenario.seed, _TAG_RENDER, cam_index, frame)
             dets: list[Detection] = []
             embs: list[np.ndarray] = []
             for gid, box in per_frame.get(frame, []):
@@ -537,8 +526,7 @@ def write_scenario_dir(
         )
         rows = [r.embeddings for r in records if r.embeddings is not None]
         stacked = np.vstack(rows) if rows else np.zeros((0, scenario.embed_dim))
-        with open(outdir / f"emb_{cid}.bin", "wb") as fh:
-            write_embedding_block(fh, stacked)
+        write_embeddings(outdir / f"emb_{cid}.bin", stacked)
 
 
 def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:

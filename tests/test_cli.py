@@ -251,6 +251,31 @@ class TestFrameCountCap:
         assert line.startswith("error: ") and "scenario.json" in line and "fps" in line
 
 
+class TestGenerationCaps:
+    """More than simkit.MAX_VEHICLES vehicles or MAX_EMBED_DIM embedding
+    dimensions are refused before a vehicle is made."""
+
+    @pytest.mark.parametrize("field", ["n_vehicles", "embed_dim"])
+    def test_inline_sim(self, tmp_path, field):
+        cfg = {"sim": {"seed": 1, "n_cams": 2, "n_vehicles": 4, "duration_s": 30.0,
+                       field: 10**12}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        done = run_cli_bounded(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert done.returncode == 2
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and field in line
+
+    @pytest.mark.parametrize("flag, field", [("--vehicles", "n_vehicles"), ("--dim", "embed_dim")])
+    def test_gen_scenario(self, tmp_path, flag, field):
+        done = run_cli_bounded(["gen-scenario", "--seed", "0", "--cams", "2", "--duration", "30",
+                                flag, str(10**12), "--out", str(tmp_path / "x")])
+        assert done.returncode == 2
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and field in line
+        assert not (tmp_path / "x").exists()
+
+
 class TestEvalTrackErrors:
     """A trajectory row that does not parse is a runtime failure."""
 
@@ -413,14 +438,6 @@ class TestEvalReid:
         ]) == 1
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and "q.bin" in line
-
-
-class TestLossesCheck:
-    def test_passes_and_prints_verdicts(self, capsys):
-        assert main(["losses-check", "--trials", "1"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 3
-        assert "FAIL" not in out
 
 
 class TestUsage:

@@ -79,7 +79,7 @@ def ct(camera, tid, t_s, t_e, x_s, x_e, emb=E1, cls=VehicleClass.CAR):
 
 def corridor_topology(overlap=()):
     cams = [
-        CameraInfo(cid, geo(x), Homography.identity(), 10.0)
+        CameraInfo(cid, geo(x), Homography(np.eye(3)), 10.0)
         for cid, x in (("A", 30.0), ("B", 180.0), ("C", 330.0))
     ]
     return make_topology(cams, adjacent=[("A", "B"), ("B", "C")], overlap=overlap)
@@ -407,7 +407,7 @@ EMBEDDINGS = (E1, E2, unit(1, 1, 0, 0), unit(1, 0.2, 0, 0))
 
 
 def corridor4(adjacent, overlap):
-    cams = [CameraInfo(c, geo(CAMERA_X[c]), Homography.identity(), 10.0) for c in CORRIDOR]
+    cams = [CameraInfo(c, geo(CAMERA_X[c]), Homography(np.eye(3)), 10.0) for c in CORRIDOR]
     return make_topology(cams, adjacent=adjacent, overlap=overlap)
 
 
@@ -438,7 +438,7 @@ def grid_topologies(draw):
     adjacent = [p for p in pairs if draw(st.booleans())]
     overlap = [p for p in adjacent if draw(st.booleans())]
     cams = [
-        CameraInfo(c, grid_point(*GRID_XY[c]), Homography.identity(), 10.0) for c in cameras
+        CameraInfo(c, grid_point(*GRID_XY[c]), Homography(np.eye(3)), 10.0) for c in cameras
     ]
     return make_topology(cams, adjacent=adjacent, overlap=overlap)
 

@@ -222,8 +222,8 @@ class TestOffline:
 
     def test_provider_must_embed_all_detections(self, scenario_dir):
         class BrokenProvider(PassThroughProvider):
-            def __call__(self, batch):
-                return [None for _ in batch.frames]
+            def __call__(self, frames):
+                return [None for _ in frames]
 
         cfg = PipelineConfig(scenario_dir=str(scenario_dir))
         with pytest.raises(SourceMissing, match="without embeddings"):
@@ -236,7 +236,7 @@ class TestOffline:
             conv1=rng.normal(0, 0.05, (64, dim, 3)),
             conv2=rng.normal(0, 0.05, (1, 64, 3)),
         )
-        assert scorer.kind == "learned_conv"
+        assert scorer.conv1 is not None
         path = tmp_path / "scorer.bin"
         scorer.save(path)
         cfg = PipelineConfig(scenario_dir=str(scenario_dir), scorer_path=str(path))
@@ -275,12 +275,12 @@ class TestRealTime:
         seen = []
 
         class SlowProvider(PassThroughProvider):
-            """Takes 0.25 s of virtual time per batch against 0.1 s frames."""
+            """Takes 0.25 s of virtual time per tick against 0.1 s frames."""
 
-            def __call__(self, batch):
-                seen.append([record.frame_index for record in batch.frames])
+            def __call__(self, frames):
+                seen.append([record.frame_index for record in frames])
                 clock.sleep_until(clock.now() + 0.25)
-                return super().__call__(batch)
+                return super().__call__(frames)
 
         cfg = PipelineConfig(scenario_dir=str(scenario_dir), real_time=True)
         report = run(cfg, provider=SlowProvider(), clock=clock)
@@ -288,7 +288,7 @@ class TestRealTime:
         for cid in ("c001", "c002"):
             assert report.frames[cid] + report.dropped[cid] == 300
         assert len(report.latencies_s) == len(seen) == report.frames["c001"]
-        # Every batch holds both cameras at one frame index; indices only
+        # Every tick holds both cameras at one frame index; indices only
         # grow, and the newest frames survive: the last QUEUE_SECONDS of the
         # clip are all processed.
         indices = [frames[0] for frames in seen]

@@ -75,7 +75,7 @@ def test_learned_scorer_matches_naive_convolution():
     conv1 = rng.normal(size=(CONV_HIDDEN, dim, CONV_KERNEL))
     conv2 = rng.normal(size=(1, CONV_HIDDEN, CONV_KERNEL))
     scorer = TemporalScorer(conv1, conv2)
-    assert scorer.kind == "learned_conv"
+    assert scorer.conv1 is not None
     rows = rng.normal(size=(length, dim))
 
     hidden = np.maximum(naive_conv1d(rows.T, conv1), 0.0)
@@ -89,7 +89,7 @@ def test_learned_scorer_matches_naive_convolution():
 
 
 def test_scorer_validation():
-    assert TemporalScorer().kind == "uniform"
+    assert TemporalScorer().conv1 is None
     assert np.array_equal(TemporalScorer().scores(np.ones((4, 8))), np.zeros(4))
     with pytest.raises(ValueError):
         TemporalScorer(conv1=np.zeros((CONV_HIDDEN, 4, CONV_KERNEL)))

@@ -176,7 +176,7 @@ class TestTrackerLifecycle:
     def test_conclusion_metadata_identity_homography(self):
         from mcvt.geo import Homography
 
-        tr = SingleCameraTracker("c7", fps=5.0, homography=Homography.identity())
+        tr = SingleCameraTracker("c7", fps=5.0, homography=Homography(np.eye(3)))
         boxes = [det_at(10.0 + 4 * k, 20.0) for k in range(3)]
         for k, d in enumerate(boxes):
             tr.step(frame_of("c7", k, [d], [E1], fps=5.0))
@@ -395,7 +395,7 @@ def test_gating_matrix_equals_per_pair_mahalanobis(states, dets):
     expected = np.array(
         [[squared_mahalanobis(*reference_project(s), o) for o in obs] for s in states]
     ).reshape(len(states), len(dets))
-    got = kalman.gating_matrix(states, obs)
+    got = kalman.mahalanobis_matrix(kalman.innovation_factors(*kalman.stack_states(states)), obs)
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=1e-9)
     for s, row in zip(states, expected):

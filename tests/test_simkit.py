@@ -10,6 +10,8 @@ from mcvt.errors import InvalidLayout, MalformedInput, UnknownIdentity
 from mcvt.geo import are_adjacent, are_overlapping, haversine_distance, pixel_to_geo
 from mcvt.simkit import (
     CAM_SPACING_M,
+    MAX_EMBED_DIM,
+    MAX_VEHICLES,
     METERS_PER_DEGREE,
     EmbeddingOracle,
     NoiseProfile,
@@ -73,6 +75,11 @@ class TestLayout:
             gen_scenario(0, 2, 5, 0.0)
         with pytest.raises(ValueError):
             gen_scenario(0, 2, 5, 10.0, fps=0.0)
+        with pytest.raises(ValueError, match="n_vehicles"):
+            gen_scenario(0, 2, MAX_VEHICLES + 1, 10.0)
+        with pytest.raises(ValueError, match="embed_dim"):
+            gen_scenario(0, 2, 5, 10.0, embed_dim=MAX_EMBED_DIM + 1)
+        assert gen_scenario(0, 1, 1, 1.0, embed_dim=MAX_EMBED_DIM)[0].embed_dim == MAX_EMBED_DIM
 
 
 class TestScenario:

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateConfiguration, HorizonPoint, UnknownCamera
+from .errors import (
+    ConfigError, DegenerateConfiguration, HorizonPoint, UnknownCamera, check_settings,
+)
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -235,9 +237,11 @@ def topology_from_dict(spec: dict) -> CameraTopology:
          "overlap": [...]}
 
     A camera may carry a literal row-major 9-element ``homography`` array
-    instead of ``homography_pairs`` (>= 4 pairs otherwise).  A camera entry
-    or relation that does not fit raises ConfigError.
+    instead of ``homography_pairs`` (>= 4 pairs otherwise).  A ``spec`` that
+    is not a JSON object raises SettingError; a camera entry or relation that
+    does not fit raises ConfigError.
     """
+    check_settings({"topology": spec}, topology=dict)
     cameras = []
     for cam in spec.get("cameras", []):
         try:

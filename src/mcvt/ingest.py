@@ -1,4 +1,4 @@
-"""Detection records, confidence filtering, NMS and CSV input.
+"""Detection records, confidence filtering and CSV input.
 
 Detections arrive either from per-camera MOTChallenge-style CSV files
 (``frame,id,x,y,w,h,conf,class`` with id == -1 for raw detections) or from the
@@ -73,7 +73,6 @@ class FrameRecord:
 
     camera: str
     frame_index: int
-    timestamp: float
     detections: list[Detection] = field(default_factory=list)
     embeddings: np.ndarray | None = None  # (n_detections, D), unit rows
 
@@ -89,7 +88,7 @@ class FrameRecord:
         """New record restricted to the given detection indices (order kept)."""
         dets = [self.detections[i] for i in indices]
         emb = self.embeddings[list(indices)] if self.embeddings is not None else None
-        return FrameRecord(self.camera, self.frame_index, self.timestamp, dets, emb)
+        return FrameRecord(self.camera, self.frame_index, dets, emb)
 
 
 def filter_confidence_indices(dets: list[Detection], alpha_min: float) -> list[int]:
@@ -124,26 +123,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, area_a + area_b - inter, out=np.zeros(inter.shape), where=overlap)
 
 
-def nms_indices(dets: list[Detection], iou_thresh: float) -> list[int]:
-    """Greedy class-agnostic NMS; returns indices of kept boxes.
-
-    Boxes are visited by descending confidence (ties broken by smaller
-    (x1, y1), then input order, for determinism); each kept box suppresses
-    remaining boxes overlapping it with iou > iou_thresh.
-    """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].alpha, dets[i].x1, dets[i].y1, i))
-    kept: list[int] = []
-    suppressed = [False] * len(dets)
-    for i in order:
-        if suppressed[i]:
-            continue
-        kept.append(i)
-        for j in order:
-            if not suppressed[j] and j != i and iou(dets[i], dets[j]) > iou_thresh:
-                suppressed[j] = True
-    return kept
-
-
 def read_csv_rows(path, what: str, parse):
     """Yield ``parse(row)`` for every row of a CSV file but blank and ``#`` rows.
 
@@ -168,23 +147,27 @@ def read_csv_rows(path, what: str, parse):
             raise MalformedInput(f"{path}, after line {reader.line_num}: {exc}") from None
 
 
-def _parse_detection(row) -> tuple[int, Detection]:
-    x, y, w, h = map(float, row[2:6])
-    conf = float(row[6]) if len(row) > 6 else 1.0
-    beta = VehicleClass.from_value(row[7]) if len(row) > 7 else VehicleClass.CAR
-    return int(row[0]), Detection(x1=x, y1=y, x2=x + w, y2=y + h, alpha=conf, beta=beta)
-
-
 def read_detection_csv(path) -> dict[int, list[Detection]]:
     """Read a per-camera detection CSV into frame_index -> detections.
 
     Row layout is ``frame,id,x,y,w,h,conf,class`` with x, y the top-left
-    corner.  Rows keep file order within a frame so embedding files stay
-    aligned.  A row that does not parse raises MalformedInput naming the file
-    and line.
+    corner.  Rows must come in frame order and keep file order within a
+    frame, so embedding files stay aligned.  A row that does not parse, and a
+    row of a lower frame than the row before it, raise MalformedInput naming
+    the file and line.
     """
     frames: dict[int, list[Detection]] = {}
-    for frame, det in read_csv_rows(path, "detection", _parse_detection):
+
+    def parse(row) -> tuple[int, Detection]:
+        frame = int(row[0])
+        if frames and frame < (last := next(reversed(frames))):  # the previous row's frame
+            raise ValueError(f"frame {frame} after frame {last}")
+        x, y, w, h = map(float, row[2:6])
+        conf = float(row[6]) if len(row) > 6 else 1.0
+        beta = VehicleClass.from_value(row[7]) if len(row) > 7 else VehicleClass.CAR
+        return frame, Detection(x1=x, y1=y, x2=x + w, y2=y + h, alpha=conf, beta=beta)
+
+    for frame, det in read_csv_rows(path, "detection", parse):
         frames.setdefault(frame, []).append(det)
     return frames
 

@@ -56,26 +56,24 @@ def _by_frame(traj: TrajectorySet) -> dict[tuple[str, int], dict[int, Detection]
 
 
 def _match_frame(
-    gt_boxes: dict[int, Detection],
-    pred_boxes: dict[int, Detection],
-    carried: dict[int, int],
-    thresh: float,
+    gt_ids, pred_ids, ious: dict[tuple[int, int], float], carried: dict[int, int], thresh: float
 ) -> dict[int, int]:
-    """One frame of CLEAR matching: keep carried pairs still valid, then Hungarian."""
+    """One frame of CLEAR matching: keep carried pairs still valid, then Hungarian.
+
+    ``ious`` holds the IoU of every (ground truth, prediction) pair of the
+    frame, so a carried pair counts only when both ids are in the frame.
+    """
     matches: dict[int, int] = {}
     used_pred = set()
     for gid, pid in carried.items():
-        if gid in gt_boxes and pid in pred_boxes and iou(gt_boxes[gid], pred_boxes[pid]) >= thresh:
+        if (gid, pid) in ious and ious[gid, pid] >= thresh:
             matches[gid] = pid
             used_pred.add(pid)
 
-    free_gt = sorted(g for g in gt_boxes if g not in matches)
-    free_pred = sorted(p for p in pred_boxes if p not in used_pred)
+    free_gt = sorted(g for g in gt_ids if g not in matches)
+    free_pred = sorted(p for p in pred_ids if p not in used_pred)
     if free_gt and free_pred:
-        cost = np.ones((len(free_gt), len(free_pred)))
-        for i, gid in enumerate(free_gt):
-            for j, pid in enumerate(free_pred):
-                cost[i, j] = 1.0 - iou(gt_boxes[gid], pred_boxes[pid])
+        cost = np.array([[1.0 - ious[gid, pid] for pid in free_pred] for gid in free_gt])
         rows, cols = linear_sum_assignment(cost)
         for i, j in zip(rows, cols):
             if cost[i, j] <= 1.0 - thresh:
@@ -88,9 +86,11 @@ def evaluate_mota(
 ) -> MotSummary:
     """Full summary: CLEAR counts (FP/FN/switches/MOTA) plus identity scores.
 
-    Matching carries over frame to frame per camera; an id switch is counted
-    when a ground-truth id is matched to a different prediction than its last
-    known one.  MOTA = 1 − (FP + FN + IDSW) / num_gt.
+    One walk over the camera frames scores every (ground truth, prediction)
+    pair of a frame once; the CLEAR matching and the identity overlap counts
+    both read that score.  Matching carries over frame to frame per camera;
+    an id switch is counted when a ground-truth id is matched to a different
+    prediction than its last known one.  MOTA = 1 − (FP + FN + IDSW) / num_gt.
     """
     gt_frames = _by_frame(gt)
     pred_frames = _by_frame(pred)
@@ -99,11 +99,18 @@ def evaluate_mota(
     fp = fn = idsw = num_gt = 0
     carried: dict[str, dict[int, int]] = {}
     last_known: dict[tuple[str, int], int] = {}
+    overlap: dict[tuple[int, int], int] = {}  # frames where the pair has IoU >= iou_thresh
     for key in keys:
         camera, _ = key
         gt_boxes = gt_frames.get(key, {})
         pred_boxes = pred_frames.get(key, {})
-        matches = _match_frame(gt_boxes, pred_boxes, carried.get(camera, {}), iou_thresh)
+        ious = {}
+        for gid, gt_box in gt_boxes.items():
+            for pid, pred_box in pred_boxes.items():
+                score = ious[gid, pid] = iou(gt_box, pred_box)
+                if score >= iou_thresh:
+                    overlap[gid, pid] = overlap.get((gid, pid), 0) + 1
+        matches = _match_frame(gt_boxes, pred_boxes, ious, carried.get(camera, {}), iou_thresh)
         for gid, pid in matches.items():
             prev = last_known.get((camera, gid))
             if prev is not None and prev != pid:
@@ -119,7 +126,7 @@ def evaluate_mota(
     else:
         mota = 1.0 if fp == 0 else 0.0
 
-    idp, idr, idf1, idtp, idfp, idfn = _identity_counts(gt, pred, pred_frames, iou_thresh)
+    idp, idr, idf1, idtp, idfp, idfn = _identity_counts(gt, pred, overlap)
     return MotSummary(
         mota=mota,
         idp=idp,
@@ -139,54 +146,39 @@ def evaluate_identity(
     gt: TrajectorySet, pred: TrajectorySet, iou_thresh: float = IOU_THRESHOLD
 ) -> tuple[float, float, float]:
     """(IDP, IDR, IDF1) under the optimal global id correspondence."""
-    idp, idr, idf1, _, _, _ = _identity_counts(gt, pred, _by_frame(pred), iou_thresh)
-    return idp, idr, idf1
+    summary = evaluate_mota(gt, pred, iou_thresh)
+    return summary.idp, summary.idr, summary.idf1
 
 
-def _identity_counts(gt: TrajectorySet, pred: TrajectorySet, pred_frames, thresh: float):
-    """Identity counts; `pred_frames` is `_by_frame(pred)`, so each
-    ground-truth box meets only the predictions of its own camera frame."""
-    gt_ids = sorted(gt)
-    pred_ids = sorted(pred)
+def _identity_counts(gt: TrajectorySet, pred: TrajectorySet, pair_overlap: dict):
+    """Identity counts; ``pair_overlap`` maps a (ground truth, prediction) id
+    pair to the number of camera frames where their boxes match."""
+    gt_ids, pred_ids = sorted(gt), sorted(pred)
     n_gt, n_pred = len(gt_ids), len(pred_ids)
-    gt_len = {g: len(gt[g]) for g in gt_ids}
-    pred_len = {p: len(pred[p]) for p in pred_ids}
-    total_gt = sum(gt_len.values())
-    total_pred = sum(pred_len.values())
+    gt_lens = np.array([len(gt[g]) for g in gt_ids], dtype=int)
+    pred_lens = np.array([len(pred[p]) for p in pred_ids], dtype=int)
+    total_gt, total_pred = int(gt_lens.sum()), int(pred_lens.sum())
 
+    gt_index = {g: i for i, g in enumerate(gt_ids)}
     pred_index = {p: j for j, p in enumerate(pred_ids)}
     overlap = np.zeros((n_gt, n_pred), dtype=int)
-    for i, g in enumerate(gt_ids):
-        for camera, frame, box in gt[g]:
-            for p, other in pred_frames.get((camera, frame), {}).items():
-                if iou(box, other) >= thresh:
-                    overlap[i, pred_index[p]] += 1
+    for (g, p), count in pair_overlap.items():
+        overlap[gt_index[g], pred_index[p]] = count
 
     # (n_gt + n_pred) x (n_pred + n_gt) assignment: real pairs top-left,
     # per-id dummies on the diagonals, zero cost in the spillover block.
-    big = float(total_gt + total_pred + 1)
-    cost = np.full((n_gt + n_pred, n_pred + n_gt), big)
-    gt_lens = np.array([gt_len[g] for g in gt_ids], dtype=int)
-    pred_lens = np.array([pred_len[p] for p in pred_ids], dtype=int)
+    cost = np.full((n_gt + n_pred, n_pred + n_gt), float(total_gt + total_pred + 1))
     cost[:n_gt, :n_pred] = gt_lens[:, None] + pred_lens[None, :] - 2 * overlap
-    for i, g in enumerate(gt_ids):
-        cost[i, n_pred + i] = gt_len[g]
-    for j, p in enumerate(pred_ids):
-        cost[n_gt + j, j] = pred_len[p]
+    cost[np.arange(n_gt), n_pred + np.arange(n_gt)] = gt_lens
+    cost[n_gt + np.arange(n_pred), np.arange(n_pred)] = pred_lens
     cost[n_gt:, n_pred:] = 0.0
 
-    idtp = 0
-    if cost.size:
-        rows, cols = linear_sum_assignment(cost)
-        for r, c in zip(rows, cols):
-            if r < n_gt and c < n_pred:
-                idtp += int(overlap[r, c])
-    idfp = total_pred - idtp
-    idfn = total_gt - idtp
+    rows, cols = linear_sum_assignment(cost)
+    idtp = sum(int(overlap[r, c]) for r, c in zip(rows, cols) if r < n_gt and c < n_pred)
     idp = idtp / total_pred if total_pred else 0.0
     idr = idtp / total_gt if total_gt else 0.0
     idf1 = 2 * idtp / (total_gt + total_pred) if total_gt + total_pred else 0.0
-    return idp, idr, idf1, idtp, idfp, idfn
+    return idp, idr, idf1, idtp, total_pred - idtp, total_gt - idtp
 
 
 def _read_trajectories(path, layout: str, parse) -> TrajectorySet:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from . import simkit
 from .errors import ConfigError, SourceMissing, check_settings
 from .geo import CameraTopology
-from .ingest import FrameRecord, filter_confidence_indices, nms_indices
+from .ingest import FrameRecord, filter_confidence_indices
 from .mct import (
     MctConfig,
     MultiCameraStore,
@@ -53,7 +53,6 @@ class PipelineConfig:
     scenario_dir: str | None = None  # read a written scenario directory
     sim: dict | None = None  # or generate+render in memory (gen_scenario kwargs + "noise")
     alpha_min: float = 0.1
-    nms_iou: float | None = None  # None disables the NMS stage
     tracker: TrackerParams = field(default_factory=TrackerParams)
     mct: MctConfig = field(default_factory=MctConfig)
     real_time: bool = False
@@ -64,8 +63,8 @@ class PipelineConfig:
     def __post_init__(self):
         check_settings(
             vars(self), scenario_dir=str | None, sim=dict | None, out_dir=str | None,
-            scorer_path=str | None, alpha_min=(float, "[0, 1]"),
-            nms_iou=(float | None, "[0, 1]"), real_time=bool, workers=(int, "[1, inf)"),
+            scorer_path=str | None, alpha_min=(float, "[0, 1]"), real_time=bool,
+            workers=(int, "[1, inf)"),
         )
         if self.sim is not None:
             check_settings({"noise": self.sim.get("noise", {})}, noise=dict)
@@ -109,17 +108,8 @@ class RunReport:
     latencies_s: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "frames": self.frames,
-            "dropped": self.dropped,
-            "n_concluded": self.n_concluded,
-            "n_identities": self.n_identities,
-            "wall_time_s": self.wall_time_s,
-            "latency_p50_ms": self.latency_p50_ms,
-            "latency_p99_ms": self.latency_p99_ms,
-            "latency_max_ms": self.latency_max_ms,
-            "real_time": self.real_time,
-        }
+        """The fields written to report.json: every field shown in the repr."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 class PassThroughProvider:
@@ -173,12 +163,8 @@ def _load_source(cfg: PipelineConfig):
 
 
 def _prepare(frame: FrameRecord, cfg: PipelineConfig) -> FrameRecord:
-    """Confidence filter then optional NMS, embeddings kept aligned."""
-    keep = filter_confidence_indices(frame.detections, cfg.alpha_min)
-    record = frame.select(keep)
-    if cfg.nms_iou is not None and record.detections:
-        record = record.select(nms_indices(record.detections, cfg.nms_iou))
-    return record
+    """The frame's detections of confidence >= alpha_min, embeddings kept aligned."""
+    return frame.select(filter_confidence_indices(frame.detections, cfg.alpha_min))
 
 
 def _build_trackers(topo: CameraTopology, fps: float, cfg: PipelineConfig):

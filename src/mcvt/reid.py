@@ -84,17 +84,14 @@ class TemporalScorer:
         hidden = np.maximum(_conv1d_same(rows.T, self.conv1), 0.0)
         return _conv1d_same(hidden, self.conv2)[0]
 
-    def save(self, path) -> None:
-        if self.conv1 is None:
-            raise ValueError("uniform scorer has no weights to save")
-        with open(path, "wb") as fh:
-            # conv1 flattened (out, tap) -> 64*3 rows of D
-            write_embedding_block(fh, self.conv1.transpose(0, 2, 1).reshape(-1, self.conv1.shape[1]))
-            # conv2 -> 3 rows of 64, one per tap
-            write_embedding_block(fh, self.conv2[0].T)
-
     @classmethod
     def load(cls, path) -> "TemporalScorer":
+        """Learned scorer from a file of two EMB1 blocks.
+
+        The first block holds conv1 as 64*3 rows of D, row ``3*o + k`` being
+        ``conv1[o, :, k]``; the second holds conv2 as 3 rows of 64, row ``k``
+        being ``conv2[0, :, k]``.
+        """
         with open(path, "rb") as fh:
             block1 = read_embedding_block(fh)
             block2 = read_embedding_block(fh)

@@ -43,7 +43,6 @@ _INFEASIBLE = 1e5
 class TrackStatus(Enum):
     TENTATIVE = "tentative"
     CONFIRMED = "confirmed"
-    DELETED = "deleted"
 
 
 @dataclass
@@ -301,10 +300,9 @@ class SingleCameraTracker:
                 survivors.append(track)
                 continue
             if track.status is TrackStatus.TENTATIVE:
-                track.status = TrackStatus.DELETED  # missed before confirmation
-            elif track.time_since_update > self.params.max_age:
+                continue  # missed before confirmation
+            if track.time_since_update > self.params.max_age:
                 concluded.append(self._conclude(track))
-                track.status = TrackStatus.DELETED
             else:
                 survivors.append(track)
         self.tracks = survivors

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,7 @@ SPEED_RANGE = (8.0, 14.0)  # m/s
 MAX_FRAMES = 1_000_000  # frames per camera in a scenario: 27.7 h at 10 fps
 MAX_VEHICLES = 10_000  # vehicles gen_scenario makes: 50 times the largest benchmark workload
 MAX_EMBED_DIM = 2048  # gen_scenario's embedding width: a ResNet-50 pooled feature
+MAX_CAMS = 1000  # cameras gen_scenario places: 10 times the 100-camera city scenario
 
 _CLASS_CHOICES = [VehicleClass.CAR, VehicleClass.BUS, VehicleClass.TRUCK,
                   VehicleClass.VAN, VehicleClass.SUV]
@@ -194,7 +195,7 @@ def gen_scenario(
     4-neighbourhood); each vehicle drives along one row.
     """
     check_settings(
-        locals(), seed=(int, "[0, inf)"), n_cams=(int, "[1, inf)"),
+        locals(), seed=(int, "[0, inf)"), n_cams=(int, f"[1, {MAX_CAMS}]"),
         n_vehicles=(int, f"[0, {MAX_VEHICLES}]"), duration_s=(float, "(0, inf)"),
         fps=(float, "(0, inf)"), embed_dim=(int, f"[1, {MAX_EMBED_DIM}]"),
     )
@@ -360,14 +361,12 @@ class EmbeddingOracle:
         except KeyError:
             raise UnknownIdentity(f"no prototype for identity {identity!r}") from None
 
-    def oracle_embedding(self, identity, draw=None, sigma: float | None = None) -> np.ndarray:
-        """Unit embedding for the identity; `draw` is a Generator or int seed."""
+    def oracle_embedding(self, identity, draw: np.random.Generator) -> np.ndarray:
+        """Unit embedding for the identity, its noise drawn from `draw`."""
         proto = self.prototype(identity)
-        sigma = self.sigma if sigma is None else sigma
-        if sigma == 0.0:
+        if self.sigma == 0.0:
             return proto.copy()
-        rng = draw if isinstance(draw, np.random.Generator) else _stream(draw or 0, _TAG_RENDER)
-        noisy = proto + sigma * rng.standard_normal(self.dim)
+        noisy = proto + self.sigma * draw.standard_normal(self.dim)
         return noisy / np.linalg.norm(noisy)
 
 
@@ -430,7 +429,6 @@ def render_detections(
                 FrameRecord(
                     camera=cid,
                     frame_index=frame,
-                    timestamp=frame / scenario.fps,
                     detections=dets,
                     embeddings=np.stack(embs) if embs else None,
                 )
@@ -439,62 +437,33 @@ def render_detections(
     return streams
 
 
+_JSON_KEYS = {"vehicle_class": "class"}  # dataclass field -> scenario.json key
+_FROM_JSON = {"vehicle_class": VehicleClass.from_value, "image_size": tuple}
+
+
+def _record_to_dict(record) -> dict:
+    return {_JSON_KEYS.get(f.name, f.name): getattr(record, f.name) for f in fields(record)}
+
+
+def _record_from_dict(cls, data: dict):
+    """The dataclass ``cls`` from its ``_record_to_dict`` form; KeyError names a missing key."""
+    values = {}
+    for f in fields(cls):
+        value = data[_JSON_KEYS.get(f.name, f.name)]
+        values[f.name] = _FROM_JSON[f.name](value) if f.name in _FROM_JSON else value
+    return cls(**values)
+
+
 def _scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "topology": topology_to_dict(scenario.topology),
-        "sim": {
-            "seed": scenario.seed,
-            "layout": scenario.layout,
-            "rows": scenario.rows,
-            "cols": scenario.cols,
-            "fps": scenario.fps,
-            "duration_s": scenario.duration_s,
-            "image_size": list(scenario.image_size),
-            "embed_dim": scenario.embed_dim,
-            "vehicles": [
-                {
-                    "global_id": v.global_id,
-                    "row": v.row,
-                    "entry_time": v.entry_time,
-                    "speed": v.speed,
-                    "direction": v.direction,
-                    "lane_offset_m": v.lane_offset_m,
-                    "length_m": v.length_m,
-                    "class": int(v.vehicle_class),
-                }
-                for v in scenario.vehicles
-            ],
-        },
-    }
+    sim = _record_to_dict(scenario)
+    sim["vehicles"] = [_record_to_dict(v) for v in scenario.vehicles]
+    return {"topology": topology_to_dict(sim.pop("topology")), "sim": sim}
 
 
 def _scenario_from_dict(data: dict) -> Scenario:
-    sim = data["sim"]
-    vehicles = [
-        VehicleSpec(
-            global_id=v["global_id"],
-            row=v["row"],
-            entry_time=v["entry_time"],
-            speed=v["speed"],
-            direction=v["direction"],
-            lane_offset_m=v["lane_offset_m"],
-            length_m=v["length_m"],
-            vehicle_class=VehicleClass.from_value(v["class"]),
-        )
-        for v in sim["vehicles"]
-    ]
-    return Scenario(
-        seed=sim["seed"],
-        layout=sim["layout"],
-        rows=sim["rows"],
-        cols=sim["cols"],
-        fps=sim["fps"],
-        duration_s=sim["duration_s"],
-        image_size=tuple(sim["image_size"]),
-        embed_dim=sim["embed_dim"],
-        vehicles=vehicles,
-        topology=topology_from_dict(data["topology"]),
-    )
+    sim = dict(data["sim"], topology=topology_from_dict(data["topology"]))
+    sim["vehicles"] = [_record_from_dict(VehicleSpec, v) for v in sim["vehicles"]]
+    return _record_from_dict(Scenario, sim)
 
 
 def write_scenario_dir(
@@ -566,7 +535,7 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
             rows = emb[cursor : cursor + len(dets)] if dets else None
             cursor += len(dets)
             records.append(
-                FrameRecord(cid, frame, frame / scenario.fps, dets, rows)
+                FrameRecord(cid, frame, dets, rows)
             )
         streams[cid] = records
     return scenario, streams

@@ -252,10 +252,10 @@ class TestFrameCountCap:
 
 
 class TestGenerationCaps:
-    """More than simkit.MAX_VEHICLES vehicles or MAX_EMBED_DIM embedding
-    dimensions are refused before a vehicle is made."""
+    """More than simkit.MAX_VEHICLES vehicles, MAX_EMBED_DIM embedding
+    dimensions or MAX_CAMS cameras are refused before a vehicle is made."""
 
-    @pytest.mark.parametrize("field", ["n_vehicles", "embed_dim"])
+    @pytest.mark.parametrize("field", ["n_vehicles", "embed_dim", "n_cams"])
     def test_inline_sim(self, tmp_path, field):
         cfg = {"sim": {"seed": 1, "n_cams": 2, "n_vehicles": 4, "duration_s": 30.0,
                        field: 10**12}}
@@ -266,7 +266,9 @@ class TestGenerationCaps:
         (line,) = done.stderr.splitlines()
         assert line.startswith("error: ") and field in line
 
-    @pytest.mark.parametrize("flag, field", [("--vehicles", "n_vehicles"), ("--dim", "embed_dim")])
+    @pytest.mark.parametrize("flag, field", [
+        ("--vehicles", "n_vehicles"), ("--dim", "embed_dim"), ("--cams", "n_cams"),
+    ])
     def test_gen_scenario(self, tmp_path, flag, field):
         done = run_cli_bounded(["gen-scenario", "--seed", "0", "--cams", "2", "--duration", "30",
                                 flag, str(10**12), "--out", str(tmp_path / "x")])

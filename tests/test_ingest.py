@@ -13,7 +13,6 @@ from mcvt.ingest import (
     VehicleClass,
     filter_confidence_indices,
     iou,
-    nms_indices,
     read_detection_csv,
     write_detection_csv,
 )
@@ -60,34 +59,17 @@ def test_filter_confidence_keeps_order():
     assert [dets[i].alpha for i in kept] == [0.9, 0.5, 0.3]
 
 
-def test_nms_suppresses_overlaps():
-    dets = [
-        box(0, 0, 10, 10, 0.9),
-        box(1, 1, 11, 11, 0.8),  # heavy overlap with the first
-        box(50, 50, 60, 60, 0.7),
-    ]
-    assert nms_indices(dets, 0.5) == [0, 2]
-    # Threshold above their iou keeps everything.
-    assert nms_indices(dets, 0.95) == [0, 1, 2]
-
-
-def test_nms_tie_break_is_deterministic():
-    dets = [box(5, 0, 15, 10, 0.5), box(0, 0, 10, 10, 0.5)]
-    # Equal confidence: smaller x1 wins the first slot.
-    assert nms_indices(dets, 0.2) == [1]
-
-
 def test_frame_record_embedding_alignment():
     dets = [box(0, 0, 1, 1), box(2, 2, 3, 3)]
     emb = np.eye(2, 4)
-    fr = FrameRecord("c1", 0, 0.0, dets, emb)
+    fr = FrameRecord("c1", 0, dets, emb)
     sub = fr.select([1])
     assert sub.detections == [dets[1]]
     assert np.array_equal(sub.embeddings, emb[[1]])
     with pytest.raises(ValueError):
-        FrameRecord("c1", 0, 0.0, dets, np.eye(3, 4))
+        FrameRecord("c1", 0, dets, np.eye(3, 4))
     with pytest.raises(ValueError):
-        FrameRecord("c1", -1, 0.0, dets)
+        FrameRecord("c1", -1, dets)
 
 
 def test_detection_csv_roundtrip(tmp_path):
@@ -121,6 +103,7 @@ def test_detection_csv_skips_comments_and_blank(tmp_path):
     "5,-1,1,2,three,4,0.5,1",  # a value that is not a number
     "x,-1,1,2,3,4,0.5,1",  # a frame index that is not an integer
     "5,-1,1,2,0,4,0.5,1",  # a degenerate box
+    "-1,-1,1,2,3,4,0.5,1",  # a lower frame than the row before: embeddings would misalign
 ])
 def test_detection_csv_malformed_row_names_file_and_line(tmp_path, line):
     path = tmp_path / "det.csv"

@@ -80,6 +80,15 @@ def test_matching_is_sticky_across_frames():
     assert s.fn == 0
 
 
+def test_carried_pair_needs_both_ids_in_the_frame():
+    # At threshold 0 every pair of a frame matches, but prediction 5 is gone
+    # in frame 1: its carried pair must not count, so 6 takes over.
+    gt = traj({1: [(0, 0.0), (1, 0.0)]})
+    pred = traj({5: [(0, 0.0)], 6: [(1, 500.0)]})
+    s = evaluate_mota(gt, pred, iou_thresh=0.0)
+    assert (s.fp, s.fn, s.id_switches) == (0, 0, 1)
+
+
 def test_false_positives_and_misses():
     gt = traj({1: [(0, 0.0), (1, 0.0)]})
     pred = traj({9: [(0, 0.0), (1, 500.0)], 10: [(1, 900.0)]})

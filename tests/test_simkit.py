@@ -10,6 +10,7 @@ from mcvt.errors import InvalidLayout, MalformedInput, UnknownIdentity
 from mcvt.geo import are_adjacent, are_overlapping, haversine_distance, pixel_to_geo
 from mcvt.simkit import (
     CAM_SPACING_M,
+    MAX_CAMS,
     MAX_EMBED_DIM,
     MAX_VEHICLES,
     METERS_PER_DEGREE,
@@ -80,6 +81,9 @@ class TestLayout:
         with pytest.raises(ValueError, match="embed_dim"):
             gen_scenario(0, 2, 5, 10.0, embed_dim=MAX_EMBED_DIM + 1)
         assert gen_scenario(0, 1, 1, 1.0, embed_dim=MAX_EMBED_DIM)[0].embed_dim == MAX_EMBED_DIM
+        with pytest.raises(ValueError, match="n_cams"):
+            gen_scenario(0, MAX_CAMS + 1, 5, 10.0)
+        assert len(gen_scenario(0, MAX_CAMS, 1, 1.0)[0].camera_ids) == MAX_CAMS
 
 
 class TestScenario:
@@ -205,7 +209,7 @@ class TestEmbeddingOracle:
 
     def test_zero_sigma_returns_prototype_exactly(self):
         oracle = EmbeddingOracle([1, 2, 3], dim=32, sigma=0.0, seed=5)
-        emb = oracle.oracle_embedding(2)
+        emb = oracle.oracle_embedding(2, draw=np.random.default_rng(0))
         assert np.array_equal(emb, oracle.prototype(2))
         emb[0] = 99.0  # the draw must be a copy, not the stored prototype
         assert oracle.prototype(2)[0] != 99.0
@@ -242,15 +246,7 @@ class TestEmbeddingOracle:
         with pytest.raises(UnknownIdentity):
             oracle.prototype(3)
         with pytest.raises(UnknownIdentity):
-            oracle.oracle_embedding("nope")
-
-    def test_integer_draw_seed_is_deterministic(self):
-        oracle = EmbeddingOracle([1], dim=16, sigma=0.5, seed=4)
-        a = oracle.oracle_embedding(1, draw=123)
-        b = oracle.oracle_embedding(1, draw=123)
-        c = oracle.oracle_embedding(1, draw=124)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+            oracle.oracle_embedding("nope", draw=np.random.default_rng(0))
 
 
 class TestRender:
@@ -263,7 +259,6 @@ class TestRender:
                 truth = gt.boxes[cid].get(record.frame_index, [])
                 assert record.detections == [det for _, det in truth]
                 assert record.camera == cid
-                assert record.timestamp == record.frame_index / scenario.fps
                 if truth:
                     assert record.embeddings.shape == (len(truth), scenario.embed_dim)
                 else:
@@ -390,6 +385,31 @@ class TestScenarioDir:
         assert mismatch == [] and errors == []
         assert "scenario.json" in match and "emb_c001.bin" in match
 
+    def test_loaded_scenario_writes_the_same_scenario_json(self, tmp_path):
+        scenario, gt = small_scenario(n_cams=4, n_vehicles=12, layout="grid")
+        assert len({v.vehicle_class for v in scenario.vehicles}) > 1
+        write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
+                           tmp_path / "one")
+        loaded, streams = load_scenario_dir(tmp_path / "one")
+        write_scenario_dir(loaded, gt, streams, tmp_path / "two")
+        written = (tmp_path / "one" / "scenario.json").read_bytes()
+        assert (tmp_path / "two" / "scenario.json").read_bytes() == written
+
+    def test_detection_rows_out_of_frame_order_are_refused(self, tmp_path):
+        # Reversed detection rows with their embedding rows reversed alike stay
+        # row-aligned, but would hand each frame another detection's embedding.
+        scenario, gt = small_scenario()
+        write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
+                           tmp_path / "scn")
+        from mcvt.reid import read_embeddings, write_embeddings
+
+        det_path = tmp_path / "scn" / "det_c001.csv"
+        det_path.write_text("".join(reversed(det_path.read_text().splitlines(keepends=True))))
+        emb_path = tmp_path / "scn" / "emb_c001.bin"
+        write_embeddings(emb_path, read_embeddings(emb_path)[::-1])
+        with pytest.raises(MalformedInput, match=r"det_c001\.csv, line \d+: .* after frame"):
+            load_scenario_dir(tmp_path / "scn")
+
     def test_embedding_count_mismatch_rejected(self, tmp_path):
         scenario, gt = small_scenario()
         streams = render_detections(scenario, gt, NoiseProfile())
@@ -455,12 +475,15 @@ class TestScenarioDir:
         with pytest.raises(MalformedInput, match=f"scenario.json: missing field '{drop[-1]}'"):
             load_scenario_dir(tmp_path / "scn")
 
-    @pytest.mark.parametrize("text", ["{oops", "[]"])
+    @pytest.mark.parametrize("text", ["{oops", "[]", '{"topology": []}', '{"topology": "x"}'])
     def test_scenario_json_that_is_no_scenario_names_the_file(self, tmp_path, text):
         scenario, gt = small_scenario()
         write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
                            tmp_path / "scn")
-        (tmp_path / "scn" / "scenario.json").write_text(text)
+        meta = tmp_path / "scn" / "scenario.json"
+        if text.startswith('{"topology"'):  # the written scenario with its topology replaced
+            text = json.dumps({**json.loads(meta.read_text()), **json.loads(text)})
+        meta.write_text(text)
         with pytest.raises(MalformedInput, match="scenario.json: "):
             load_scenario_dir(tmp_path / "scn")
 

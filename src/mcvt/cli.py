@@ -73,9 +73,7 @@ def _cmd_gen_scenario(args) -> int:
     )
     streams = simkit.render_detections(scenario, gt, profile)
     simkit.write_scenario_dir(scenario, gt, streams, args.out)
-    n_boxes = sum(
-        len(entries) for cam in gt.boxes.values() for entries in cam.values()
-    )
+    n_boxes = sum(len(entries) for cam in gt.boxes.values() for entries in cam.values())
     _print_table(
         [
             ("cameras", len(scenario.camera_ids)),
@@ -91,48 +89,29 @@ def _cmd_gen_scenario(args) -> int:
 def _cmd_eval_sct(args) -> int:
     gt = metrics.load_mot_trajectories(args.gt, camera=args.camera)
     pred = metrics.load_mot_trajectories(args.pred, camera=args.camera)
-    summary = metrics.evaluate_mota(gt, pred)
-    _print_summary(summary)
+    _print_summary(metrics.evaluate_mota(gt, pred))
     return 0
 
 
 def _cmd_eval_mct(args) -> int:
-    scenario, _ = simkit.load_scenario_dir(args.scenario)
-    gt = simkit.load_ground_truth(args.scenario, scenario)
+    gt = simkit.load_ground_truth(args.scenario, simkit.load_scenario(args.scenario))
     pred = metrics.load_global_trajectories(args.pred)
-    summary = metrics.evaluate_mota(gt, pred)
-    _print_summary(summary)
+    _print_summary(metrics.evaluate_mota(gt, pred))
     return 0
 
 
 def _print_summary(summary: metrics.MotSummary) -> None:
-    _print_table(
-        [
-            ("IDP", f"{summary.idp:.4f}"),
-            ("IDR", f"{summary.idr:.4f}"),
-            ("IDF1", f"{summary.idf1:.4f}"),
-            ("MOTA", f"{summary.mota:.4f}"),
-            ("FP", summary.fp),
-            ("FN", summary.fn),
-            ("ID switches", summary.id_switches),
-            ("GT boxes", summary.num_gt),
-        ]
-    )
-    print(
-        json.dumps(
-            {
-                "idp": summary.idp,
-                "idr": summary.idr,
-                "idf1": summary.idf1,
-                "mota": summary.mota,
-                "fp": summary.fp,
-                "fn": summary.fn,
-                "id_switches": summary.id_switches,
-                "num_gt": summary.num_gt,
-            },
-            sort_keys=True,
-        )
-    )
+    _print_results([(label, key, getattr(summary, key), spec) for label, key, spec in (
+        ("IDP", "idp", ".4f"), ("IDR", "idr", ".4f"), ("IDF1", "idf1", ".4f"),
+        ("MOTA", "mota", ".4f"), ("FP", "fp", ""), ("FN", "fn", ""),
+        ("ID switches", "id_switches", ""), ("GT boxes", "num_gt", ""),
+    )])
+
+
+def _print_results(results) -> None:
+    """The table of (label, JSON key, value, format spec) rows, then their JSON line."""
+    _print_table([(label, format(value, spec)) for label, _, value, spec in results])
+    print(json.dumps({key: value for _, key, value, _ in results}, sort_keys=True))
 
 
 def _read_labels(path):
@@ -166,10 +145,8 @@ def _cmd_eval_reid(args) -> int:
     else:
         dist = np.linalg.norm(query[:, None, :] - gallery[None, :, :], axis=2)
     mean_ap, cmc1, cmc5 = reid.eval_track_reid(q_labels, g_labels, dist)
-    _print_table(
-        [("mAP", f"{mean_ap:.4f}"), ("CMC@1", f"{cmc1:.4f}"), ("CMC@5", f"{cmc5:.4f}")]
-    )
-    print(json.dumps({"mAP": mean_ap, "cmc1": cmc1, "cmc5": cmc5}, sort_keys=True))
+    _print_results([("mAP", "mAP", mean_ap, ".4f"), ("CMC@1", "cmc1", cmc1, ".4f"),
+                    ("CMC@5", "cmc5", cmc5, ".4f")])
     return 0
 
 

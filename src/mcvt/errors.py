@@ -76,7 +76,7 @@ class UnknownCamera(McvtError):
 
 # ingest
 class MalformedInput(McvtError):
-    """An input file row that cannot be parsed."""
+    """Input that does not parse or does not fit: a file, a file row, a provider's arrays."""
 
 
 # sct

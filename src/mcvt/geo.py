@@ -145,20 +145,23 @@ def estimate_homography(pairs: list[tuple[PixelPoint, GeoPoint]]) -> Homography:
         raise DegenerateConfiguration(str(exc)) from exc
 
 
+def _dehomogenize(m: np.ndarray, a: float, b: float, what: str) -> tuple[float, float]:
+    """m @ (a, b, 1) dehomogenized; HorizonPoint when its third entry is ~0."""
+    vec = m @ np.array([a, b, 1.0])
+    if abs(vec[2]) < 1e-12:
+        raise HorizonPoint(f"{what} ({a}, {b}) maps to the horizon")
+    return vec[0] / vec[2], vec[1] / vec[2]
+
+
 def pixel_to_geo(h: Homography, p: PixelPoint) -> GeoPoint:
     """Apply the homography to a pixel point, dehomogenize to (lon, lat)."""
-    vec = h.m @ np.array([p.x, p.y, 1.0])
-    if abs(vec[2]) < 1e-12:
-        raise HorizonPoint(f"pixel ({p.x}, {p.y}) maps to the horizon")
-    return GeoPoint(lat=vec[1] / vec[2], lon=vec[0] / vec[2])
+    lon, lat = _dehomogenize(h.m, p.x, p.y, "pixel")
+    return GeoPoint(lat=lat, lon=lon)
 
 
 def geo_to_pixel(h: Homography, g: GeoPoint) -> PixelPoint:
     """Inverse projection of pixel_to_geo, using the stored inverse matrix."""
-    vec = h._inv @ np.array([g.lon, g.lat, 1.0])
-    if abs(vec[2]) < 1e-12:
-        raise HorizonPoint(f"geo ({g.lat}, {g.lon}) maps to the horizon")
-    return PixelPoint(x=vec[0] / vec[2], y=vec[1] / vec[2])
+    return PixelPoint(*_dehomogenize(h._inv, g.lon, g.lat, "geo (lon, lat)"))
 
 
 @dataclass(frozen=True)
@@ -166,11 +169,6 @@ class CameraInfo:
     id: str
     position: GeoPoint
     homography: Homography
-    fps: float
-
-    def __post_init__(self):
-        if not self.fps > 0:
-            raise ValueError("fps must be positive")
 
 
 @dataclass(frozen=True)
@@ -208,22 +206,19 @@ def make_topology(cameras, adjacent=(), overlap=()) -> CameraTopology:
     return CameraTopology(cameras=cams, adjacency=adj, overlap=ovl)
 
 
-def are_adjacent(topo: CameraTopology, c1: str, c2: str) -> bool:
+def _related(topo: CameraTopology, relation, c1: str, c2: str) -> bool:
     for cid in (c1, c2):
         if cid not in topo.cameras:
             raise UnknownCamera(cid)
-    if c1 == c2:
-        return False
-    return frozenset((c1, c2)) in topo.adjacency
+    return c1 != c2 and frozenset((c1, c2)) in relation
+
+
+def are_adjacent(topo: CameraTopology, c1: str, c2: str) -> bool:
+    return _related(topo, topo.adjacency, c1, c2)
 
 
 def are_overlapping(topo: CameraTopology, c1: str, c2: str) -> bool:
-    for cid in (c1, c2):
-        if cid not in topo.cameras:
-            raise UnknownCamera(cid)
-    if c1 == c2:
-        return False
-    return frozenset((c1, c2)) in topo.overlap
+    return _related(topo, topo.overlap, c1, c2)
 
 
 def topology_from_dict(spec: dict) -> CameraTopology:
@@ -231,14 +226,15 @@ def topology_from_dict(spec: dict) -> CameraTopology:
 
     Expected shape::
 
-        {"cameras": [{"id": "c001", "lat": .., "lon": .., "fps": 10,
+        {"cameras": [{"id": "c001", "lat": .., "lon": ..,
                       "homography_pairs": [{"px": .., "py": .., "lat": .., "lon": ..}, ...]}],
          "adjacent": [["c001", "c002"], ...],
          "overlap": [...]}
 
     A camera may carry a literal row-major 9-element ``homography`` array
-    instead of ``homography_pairs`` (>= 4 pairs otherwise).  A ``spec`` that
-    is not a JSON object raises SettingError; a camera entry or relation that
+    instead of ``homography_pairs`` (>= 4 pairs otherwise).  Other camera
+    keys, such as the ``fps`` of older files, are ignored.  A ``spec`` that is
+    not a JSON object raises SettingError; a camera entry or relation that
     does not fit raises ConfigError.
     """
     check_settings({"topology": spec}, topology=dict)
@@ -247,7 +243,6 @@ def topology_from_dict(spec: dict) -> CameraTopology:
         try:
             cid = cam["id"]
             pos = GeoPoint(lat=float(cam["lat"]), lon=float(cam["lon"]))
-            fps = float(cam.get("fps", 10.0))
             if "homography" in cam:
                 h = Homography(np.array(cam["homography"], dtype=float).reshape(3, 3))
             else:
@@ -257,7 +252,7 @@ def topology_from_dict(spec: dict) -> CameraTopology:
                     for p in cam["homography_pairs"]
                 ]
                 h = estimate_homography(pairs)
-            cameras.append(CameraInfo(id=cid, position=pos, homography=h, fps=fps))
+            cameras.append(CameraInfo(id=cid, position=pos, homography=h))
         except (KeyError, ValueError, DegenerateConfiguration) as exc:
             raise ConfigError(f"bad camera entry {cam.get('id', '?')!r}: {exc}") from exc
     try:
@@ -274,7 +269,6 @@ def topology_to_dict(topo: CameraTopology) -> dict:
                 "id": cam.id,
                 "lat": cam.position.lat,
                 "lon": cam.position.lon,
-                "fps": cam.fps,
                 "homography": [float(v) for v in cam.homography.m.reshape(-1)],
             }
             for cam in (topo.cameras[cid] for cid in sorted(topo.cameras))

@@ -31,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simkit
-from .errors import ConfigError, SourceMissing, check_settings
-from .geo import CameraTopology
+from .errors import ConfigError, MalformedInput, SourceMissing, check_settings
 from .ingest import FrameRecord, filter_confidence_indices
 from .mct import (
     MctConfig,
@@ -144,7 +143,7 @@ class WallClock:
 
 
 def _load_source(cfg: PipelineConfig):
-    """Resolve the config into (topology, per-camera streams, fps, n_frames)."""
+    """Resolve the config into (scenario, per-camera streams)."""
     if cfg.scenario_dir is not None:
         directory = Path(cfg.scenario_dir)
         if not (directory / "scenario.json").exists():
@@ -159,7 +158,7 @@ def _load_source(cfg: PipelineConfig):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sim config: {exc}") from exc
         streams = simkit.render_detections(scenario, gt, profile)
-    return scenario.topology, streams, scenario.fps, scenario.n_frames
+    return scenario, streams
 
 
 def _prepare(frame: FrameRecord, cfg: PipelineConfig) -> FrameRecord:
@@ -167,21 +166,37 @@ def _prepare(frame: FrameRecord, cfg: PipelineConfig) -> FrameRecord:
     return frame.select(filter_confidence_indices(frame.detections, cfg.alpha_min))
 
 
-def _build_trackers(topo: CameraTopology, fps: float, cfg: PipelineConfig):
+def _embed(frames: list[FrameRecord], embeddings) -> list[FrameRecord]:
+    """The tick's records with the provider's arrays, row counts checked by FrameRecord."""
+    embedded = []
+    try:
+        for record, emb in zip(frames, embeddings, strict=True):
+            if record.detections and emb is None:
+                raise SourceMissing(f"camera {record.camera}: detections without embeddings")
+            embedded.append(FrameRecord(record.camera, record.frame_index, record.detections, emb))
+    except ValueError as exc:  # a wrong row count, or not one array per record
+        where = f"camera {frames[len(embedded)].camera}" if len(embedded) < len(frames) else "tick"
+        raise MalformedInput(f"{where}: provider output does not fit its frames: {exc}") from None
+    return embedded
+
+
+def _build_trackers(scenario: simkit.Scenario, cfg: PipelineConfig):
+    scorer = TemporalScorer()
     if cfg.scorer_path is not None:
         scorer = TemporalScorer.load(cfg.scorer_path)
-    else:
-        scorer = TemporalScorer()
+        if scorer.conv1.shape[1] != scenario.embed_dim:
+            raise MalformedInput(f"{cfg.scorer_path}: scorer built for D={scorer.conv1.shape[1]}, "
+                                 f"scenario has D={scenario.embed_dim}")
     aggregator = lambda rows: temporal_aggregate(rows, scorer)  # noqa: E731
     return {
         cid: SingleCameraTracker(
             camera=cid,
-            fps=fps,
-            homography=topo.cameras[cid].homography,
+            fps=scenario.fps,
+            homography=scenario.topology.cameras[cid].homography,
             params=cfg.tracker,
             aggregator=aggregator,
         )
-        for cid in sorted(topo.cameras)
+        for cid in scenario.camera_ids
     }
 
 
@@ -195,14 +210,14 @@ def run(cfg: PipelineConfig, provider=None, clock=None) -> RunReport:
     writes global_tracks.csv, identities.json, report.json, and one
     sct_<camera>.csv per camera.
     """
-    topo, streams, fps, n_frames = _load_source(cfg)
+    scenario, streams = _load_source(cfg)
     if provider is None:
         provider = PassThroughProvider()
     if clock is None:
         clock = WallClock() if cfg.real_time else VirtualClock()
-    trackers = _build_trackers(topo, fps, cfg)
+    trackers = _build_trackers(scenario, cfg)
     started = time.perf_counter()
-    report = _run_engine(cfg, topo, streams, fps, n_frames, trackers, provider, clock)
+    report = _run_engine(cfg, scenario, streams, trackers, provider, clock)
     report.wall_time_s = time.perf_counter() - started
 
     if cfg.out_dir is not None:
@@ -210,7 +225,8 @@ def run(cfg: PipelineConfig, provider=None, clock=None) -> RunReport:
     return report
 
 
-def _run_engine(cfg, topo, streams, fps, n_frames, trackers, provider, clock):
+def _run_engine(cfg, scenario, streams, trackers, provider, clock):
+    topo, fps, n_frames = scenario.topology, scenario.fps, scenario.n_frames
     cameras = sorted(streams)
     capacity = max(1, int(QUEUE_SECONDS * fps))
     queues = {cid: deque(maxlen=capacity) for cid in cameras}
@@ -238,12 +254,7 @@ def _run_engine(cfg, topo, streams, fps, n_frames, trackers, provider, clock):
 
         tick_started = time.perf_counter()
         frames = [_prepare(queues[cid].popleft(), cfg) for cid in cameras if queues[cid]]
-        for record, emb in zip(frames, provider(frames)):
-            if record.detections and emb is None:
-                raise SourceMissing(
-                    f"camera {record.camera}: detections without embeddings"
-                )
-            record.embeddings = emb
+        frames = _embed(frames, provider(frames))
         stepped = step_cameras([(trackers[record.camera], record) for record in frames])
         for record, (_, concluded) in zip(frames, stepped):
             processed[record.camera] += 1

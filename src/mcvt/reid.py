@@ -90,15 +90,18 @@ class TemporalScorer:
 
         The first block holds conv1 as 64*3 rows of D, row ``3*o + k`` being
         ``conv1[o, :, k]``; the second holds conv2 as 3 rows of 64, row ``k``
-        being ``conv2[0, :, k]``.
+        being ``conv2[0, :, k]``.  A file that does not hold these two
+        blocks raises MalformedInput naming the file.
         """
         with open(path, "rb") as fh:
-            block1 = read_embedding_block(fh)
-            block2 = read_embedding_block(fh)
-        if block1.shape[0] != CONV_HIDDEN * CONV_KERNEL:
-            raise ValueError(f"conv1 block must have {CONV_HIDDEN * CONV_KERNEL} rows")
-        if block2.shape != (CONV_KERNEL, CONV_HIDDEN):
-            raise ValueError(f"conv2 block must be {CONV_KERNEL}x{CONV_HIDDEN}")
+            try:
+                block1, block2 = read_embedding_block(fh), read_embedding_block(fh)
+                if block1.shape[0] != CONV_HIDDEN * CONV_KERNEL:
+                    raise ValueError(f"conv1 block must have {CONV_HIDDEN * CONV_KERNEL} rows")
+                if block2.shape != (CONV_KERNEL, CONV_HIDDEN):
+                    raise ValueError(f"conv2 block must be {CONV_KERNEL}x{CONV_HIDDEN}")
+            except ValueError as exc:
+                raise MalformedInput(f"{path}: {exc}") from None
         dim = block1.shape[1]
         conv1 = block1.reshape(CONV_HIDDEN, CONV_KERNEL, dim).transpose(0, 2, 1)
         conv2 = block2.T[np.newaxis]

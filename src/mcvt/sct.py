@@ -227,12 +227,8 @@ def associate(
 
 
 def majority_class(boxes: list[tuple[int, Detection]]) -> VehicleClass:
-    """Most frequent per-frame label; ties go to the label seen earliest."""
-    counts = Counter(d.beta for _, d in boxes)
-    first_seen = {}
-    for frame, d in boxes:
-        first_seen.setdefault(d.beta, frame)
-    return min(counts, key=lambda c: (-counts[c], first_seen[c]))
+    """Most frequent per-frame label; ties go to the first seen (boxes come in frame order)."""
+    return Counter(d.beta for _, d in boxes).most_common(1)[0][0]
 
 
 class SingleCameraTracker:

@@ -23,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidLayout, MalformedInput, SettingError, UnknownIdentity, check_settings
+from .errors import (
+    ConfigError, InvalidLayout, MalformedInput, SettingError, UnknownIdentity, check_settings,
+)
 from .geo import (
     CameraInfo,
     GeoPoint,
@@ -103,7 +105,6 @@ class VehicleSpec:
 @dataclass
 class Scenario:
     seed: int
-    layout: str
     rows: int
     cols: int
     fps: float
@@ -118,7 +119,7 @@ class Scenario:
         if not frames <= MAX_FRAMES:  # NaN too
             raise SettingError(f"duration_s * fps is {frames:g} frames, over {MAX_FRAMES}")
         if self.topology is None:
-            self.topology = _build_topology(self.rows, self.cols, self.fps)
+            self.topology = _build_topology(self.rows, self.cols)
 
     @property
     def n_frames(self) -> int:
@@ -143,7 +144,7 @@ def _camera_geometry(index: int, rows: int, cols: int):
     return row, (col + 0.5) * CAM_SPACING_M, row * ROW_SPACING_M
 
 
-def _build_topology(rows: int, cols: int, fps: float):
+def _build_topology(rows: int, cols: int):
     n = rows * cols
     width, height = IMAGE_SIZE
     cameras = []
@@ -166,7 +167,6 @@ def _build_topology(rows: int, cols: int, fps: float):
                 id=_camera_id(k),
                 position=GeoPoint(lat_m / METERS_PER_DEGREE, x_center / METERS_PER_DEGREE),
                 homography=h,
-                fps=fps,
             )
         )
     adjacent = []
@@ -238,7 +238,6 @@ def gen_scenario(
         )
     scenario = Scenario(
         seed=seed,
-        layout=layout,
         rows=rows,
         cols=cols,
         fps=fps,
@@ -255,7 +254,6 @@ class GroundTruth:
     """Per camera, per frame: the (global_id, box) pairs fully in view."""
 
     boxes: dict[str, dict[int, list[tuple[int, Detection]]]]
-    n_frames: int
 
     def trajectories(self) -> dict[int, list[tuple[str, int, Detection]]]:
         traj: dict[int, list] = {}
@@ -297,7 +295,7 @@ def ground_truth(scenario: Scenario) -> GroundTruth:
                     continue  # only fully visible boxes are ground truth
                 det = Detection(x1, y1, x2, y2, alpha=1.0, beta=veh.vehicle_class)
                 boxes[cid].setdefault(frame, []).append((veh.global_id, det))
-    return GroundTruth(boxes=boxes, n_frames=scenario.n_frames)
+    return GroundTruth(boxes=boxes)
 
 
 def _frames_in_view(veh: VehicleSpec, x_lo: float, x_hi: float, scenario: Scenario):
@@ -498,22 +496,29 @@ def write_scenario_dir(
         write_embeddings(outdir / f"emb_{cid}.bin", stacked)
 
 
+def load_scenario(outdir) -> Scenario:
+    """The scenario.json of a scenario directory; one that does not describe a
+    scenario (its JSON, a field, a setting or the topology) raises MalformedInput
+    naming the file."""
+    meta = Path(outdir) / "scenario.json"
+    try:
+        return _scenario_from_dict(json.loads(meta.read_text()))
+    except KeyError as exc:
+        raise MalformedInput(f"{meta}: missing field {exc}") from None
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise MalformedInput(f"{meta}: {exc}") from None
+
+
 def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
     """Read a written scenario directory back into streams (float32 embeddings).
 
-    A scenario.json that does not describe a scenario, an embedding file that
+    The scenario.json goes through ``load_scenario``.  An embedding file that
     does not parse, an embedding file whose dimension differs from the
     scenario's and an embedding file whose row count differs from its
-    detection file all raise MalformedInput naming the file.
+    detection file raise MalformedInput naming the file.
     """
     outdir = Path(outdir)
-    meta = outdir / "scenario.json"
-    try:
-        scenario = _scenario_from_dict(json.loads(meta.read_text()))
-    except KeyError as exc:
-        raise MalformedInput(f"{meta}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"{meta}: {exc}") from None
+    scenario = load_scenario(outdir)
     streams: dict[str, list[FrameRecord]] = {}
     for cid in scenario.camera_ids:
         frames = read_detection_csv(outdir / f"det_{cid}.csv")
@@ -534,9 +539,7 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
             dets = frames.get(frame, [])
             rows = emb[cursor : cursor + len(dets)] if dets else None
             cursor += len(dets)
-            records.append(
-                FrameRecord(cid, frame, dets, rows)
-            )
+            records.append(FrameRecord(cid, frame, dets, rows))
         streams[cid] = records
     return scenario, streams
 

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON output lines, end-to-end command flow."""
 
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import mcvt
 from mcvt.cli import main
-from mcvt.reid import read_embeddings, write_embeddings
+from mcvt.reid import read_embeddings, write_embedding_block, write_embeddings
 from mcvt.simkit import NoiseProfile, gen_scenario, render_detections, write_scenario_dir
 
 
@@ -80,6 +81,14 @@ def small_scenario(tmp_path):
     write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
                        tmp_path / "scn")
     return tmp_path / "scn"
+
+
+def scorer_bytes(*shapes):
+    """EMB1 blocks of the given (rows, D) shapes, as TemporalScorer.load reads them."""
+    buf = io.BytesIO()
+    for shape in shapes:
+        write_embedding_block(buf, np.full(shape, 0.01))
+    return buf.getvalue()
 
 
 class TestRunErrors:
@@ -182,6 +191,34 @@ class TestRunErrors:
         assert main(["run", "--scenario", str(small_scenario)]) == 1
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and "emb_c002.bin" in line and "dimension 32" in line
+
+    @pytest.mark.parametrize("topology, named", [
+        ({"cameras": [{"id": "c001"}]}, "bad camera entry 'c001'"),
+        ({"adjacent": [["c001", "c009"]]}, "unknown camera"),
+    ])
+    def test_scenario_json_with_a_bad_topology(self, small_scenario, capsys, topology, named):
+        meta = small_scenario / "scenario.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "topology": topology}))
+        assert main(["run", "--scenario", str(small_scenario)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "scenario.json" in line and named in line
+
+    @pytest.mark.parametrize("content, named", [
+        (b"EMB1abc", "truncated embedding header"),
+        (scorer_bytes((10, 64), (3, 64)), "conv1 block must have 192 rows"),
+        (scorer_bytes((192, 32), (3, 64)), "scorer built for D=32"),
+    ], ids=["7-byte-file", "10-row-conv1", "width-32"])
+    def test_scorer_file_that_does_not_fit(self, tmp_path, capsys, content, named):
+        scenario, gt = gen_scenario(17, 2, 4, 15.0)  # long enough to conclude tracks
+        write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
+                           tmp_path / "scn")
+        (tmp_path / "scorer.bin").write_bytes(content)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario_dir": str(tmp_path / "scn"),
+                                   "scorer_path": str(tmp_path / "scorer.bin")}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "scorer.bin" in line and named in line
 
     def test_scenario_json_without_sim(self, small_scenario, capsys):
         (small_scenario / "scenario.json").write_text('{"topology": {}}')
@@ -288,6 +325,15 @@ class TestEvalTrackErrors:
                      "--pred", str(small_scenario / "gt_c001.csv")]) == 1
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and "gt.csv, line 2" in line
+
+    def test_eval_mct_reads_no_detection_or_embedding_file(self, small_scenario, tmp_path, capsys):
+        emb_path = small_scenario / "emb_c001.bin"
+        emb_path.write_bytes(emb_path.read_bytes()[:-10])
+        (small_scenario / "det_c002.csv").write_text("not,a,detection\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("c001,0,1,10.0,10.0,20.0,20.0\n")
+        assert main(["eval-mct", "--scenario", str(small_scenario), "--pred", str(pred)]) == 0
+        assert last_json_line(capsys)["fp"] == 1
 
     def test_malformed_global_track_row(self, small_scenario, tmp_path, capsys):
         pred = tmp_path / "pred.csv"

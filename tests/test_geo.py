@@ -199,7 +199,7 @@ def test_estimate_homography_degenerate_inputs():
 
 
 def _cam(cid, lat=0.0, lon=0.0):
-    return CameraInfo(id=cid, position=GeoPoint(lat, lon), homography=Homography(np.eye(3)), fps=10.0)
+    return CameraInfo(id=cid, position=GeoPoint(lat, lon), homography=Homography(np.eye(3)))
 
 
 def test_topology_relations():
@@ -264,7 +264,6 @@ def test_load_topology_from_point_pairs():
         ]
     }
     cam = topology_from_dict(spec).cameras["cam1"]
-    assert cam.fps == 12.5
     g = pixel_to_geo(cam.homography, PixelPoint(50, 50))
     assert g.lon == pytest.approx(5e-4, abs=1e-9)
     assert g.lat == pytest.approx(5e-4, abs=1e-9)

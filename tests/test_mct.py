@@ -79,7 +79,7 @@ def ct(camera, tid, t_s, t_e, x_s, x_e, emb=E1, cls=VehicleClass.CAR):
 
 def corridor_topology(overlap=()):
     cams = [
-        CameraInfo(cid, geo(x), Homography(np.eye(3)), 10.0)
+        CameraInfo(cid, geo(x), Homography(np.eye(3)))
         for cid, x in (("A", 30.0), ("B", 180.0), ("C", 330.0))
     ]
     return make_topology(cams, adjacent=[("A", "B"), ("B", "C")], overlap=overlap)
@@ -407,7 +407,7 @@ EMBEDDINGS = (E1, E2, unit(1, 1, 0, 0), unit(1, 0.2, 0, 0))
 
 
 def corridor4(adjacent, overlap):
-    cams = [CameraInfo(c, geo(CAMERA_X[c]), Homography(np.eye(3)), 10.0) for c in CORRIDOR]
+    cams = [CameraInfo(c, geo(CAMERA_X[c]), Homography(np.eye(3))) for c in CORRIDOR]
     return make_topology(cams, adjacent=adjacent, overlap=overlap)
 
 
@@ -438,7 +438,7 @@ def grid_topologies(draw):
     adjacent = [p for p in pairs if draw(st.booleans())]
     overlap = [p for p in adjacent if draw(st.booleans())]
     cams = [
-        CameraInfo(c, grid_point(*GRID_XY[c]), Homography(np.eye(3)), 10.0) for c in cameras
+        CameraInfo(c, grid_point(*GRID_XY[c]), Homography(np.eye(3))) for c in cameras
     ]
     return make_topology(cams, adjacent=adjacent, overlap=overlap)
 
@@ -509,6 +509,94 @@ def test_masked_matrix_equals_the_plain_loop(case):
         return
     assert (build_similarity_matrix(cands, topo, cfg) == expected).all()
 
+
+
+# ------------------------------------- single-linkage clustering on adversarial chains
+
+
+def assert_single_linkage(cameras, matrix, clusters):
+    """The clustering invariants: a partition into camera-disjoint clusters,
+    each held together by its own positive pairs (at least k - 1 of them for
+    k members), and no positive pair left between two clusters that could
+    still merge."""
+    assert sorted(i for cluster in clusters for i in cluster) == list(range(len(cameras)))
+    for cluster in clusters:
+        cams = [cid for i in cluster for cid in cameras[i]]
+        assert len(cams) == len(set(cams))
+        pairs = [(i, j) for i in cluster for j in cluster if i < j and matrix[i, j] > 0]
+        assert len(pairs) >= len(cluster) - 1
+        reached, frontier = {cluster[0]}, [cluster[0]]
+        while frontier:
+            i = frontier.pop()
+            for j in cluster:
+                if j not in reached and matrix[i, j] > 0:
+                    reached.add(j)
+                    frontier.append(j)
+        assert reached == set(cluster)
+    owner = {i: k for k, cluster in enumerate(clusters) for i in cluster}
+    held = [{cid for i in cluster for cid in cameras[i]} for cluster in clusters]
+    for i, j in zip(*np.nonzero(matrix > 0)):
+        if owner[i] != owner[j]:
+            assert held[owner[i]] & held[owner[j]]
+
+
+@st.composite
+def chain_cases(draw):
+    """(tracks, matrix): up to 12 tracks on three cameras, joined by chains.
+
+    A random order of the tracks is linked pair by pair with positive scores,
+    so every chain runs through tracks of one camera again and again; a few
+    more pairs get a score, zero included.  Scores come from four levels, so
+    ties are common.
+    """
+    n = draw(st.integers(1, 12))
+    tracks = [ct(draw(st.sampled_from("ABC")), k + 1, 0, 6, 0, 60) for k in range(n)]
+    levels = st.sampled_from((0.2, 0.5, 0.5, 0.9))
+    matrix = np.zeros((n, n))
+    order = draw(st.permutations(range(n)))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    for i, j in list(zip(order, order[1:])) + extra:
+        if i != j:
+            matrix[i, j] = matrix[j, i] = draw(st.sampled_from((0.0,)) | levels)
+    return tracks, matrix
+
+
+@given(chain_cases())
+def test_single_linkage_on_chains_keeps_its_invariants(case):
+    tracks, matrix = case
+    assert_single_linkage([{t.camera} for t in tracks], matrix,
+                          hierarchical_cluster(tracks, matrix))
+
+
+@given(similarity_cases())
+def test_single_linkage_on_rule_gated_scores_keeps_its_invariants(case):
+    cands, topo, cfg = case
+    try:
+        matrix = apply_min_threshold(build_similarity_matrix(cands, topo, cfg), cfg.tau_min)
+    except UnknownCamera:
+        return
+    assert_single_linkage([c.cameras for c in cands], matrix, hierarchical_cluster(cands, matrix))
+
+
+def test_single_linkage_can_join_two_tracks_whose_own_pair_breaks_rule_2():
+    """The clustering links through pairs, so one identity can hold two
+    tracks that the rules keep apart as a pair (README, "Single linkage").
+
+    Tracks on cameras A and B, 150 m apart with no shared view, are seen at
+    the same time; each is rated a plausible predecessor of the track on D.
+    """
+    topo = make_topology(
+        [CameraInfo(c, grid_point(*GRID_XY[c]), Homography(np.eye(3))) for c in "ABD"],
+        adjacent=[("A", "D"), ("B", "D")],
+    )
+    tracks = [
+        grid_track("A", 1, 0, 6, (33.5, -30.0), (33.5, 30.0), E1),
+        grid_track("D", 2, 15, 21, (33.5, 90.0), (33.5, 150.0), E1),
+        grid_track("B", 3, 0, 6, (183.5, -30.0), (183.5, 30.0), E1),
+    ]
+    matrix = apply_min_threshold(build_similarity_matrix(tracks, topo, CFG), CFG.tau_min)
+    assert matrix[0, 2] == 0.0 and matrix[0, 1] > 0.0 and matrix[1, 2] > 0.0
+    assert hierarchical_cluster(tracks, matrix) == [[0, 1, 2]]
 
 def member_keys(identity):
     return sorted((t.camera, t.track_id) for t in identity.members)

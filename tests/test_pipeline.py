@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mcvt import kalman, pipeline
-from mcvt.errors import ConfigError, SourceMissing
+from mcvt.errors import ConfigError, MalformedInput, SourceMissing
 from mcvt.metrics import evaluate_identity, load_global_trajectories
 from mcvt.pipeline import (
     QUEUE_SECONDS,
@@ -228,6 +228,34 @@ class TestOffline:
         cfg = PipelineConfig(scenario_dir=str(scenario_dir))
         with pytest.raises(SourceMissing, match="without embeddings"):
             run(cfg, provider=BrokenProvider())
+
+    def test_provider_with_an_array_too_few_names_the_camera(self, scenario_dir):
+        def provider(frames):  # the last camera of every tick gets no array
+            return [frame.embeddings for frame in frames][:-1]
+
+        with pytest.raises(MalformedInput, match="camera c002: provider output"):
+            run(PipelineConfig(scenario_dir=str(scenario_dir)), provider=provider)
+
+    def test_provider_array_short_by_a_row_names_the_camera(self, scenario_dir):
+        def provider(frames):
+            return [frame.embeddings[:-1] if frame.camera == "c002" and frame.detections
+                    else frame.embeddings for frame in frames]
+
+        with pytest.raises(MalformedInput, match="camera c002: .* embeddings for"):
+            run(PipelineConfig(scenario_dir=str(scenario_dir)), provider=provider)
+
+    def test_scorer_of_another_width_fails_before_the_first_tick(self, scenario_dir, tmp_path):
+        path = tmp_path / "scorer.bin"
+        with open(path, "wb") as fh:  # D = 32 against the scenario's 64
+            write_embedding_block(fh, np.full((64 * 3, 32), 0.01))
+            write_embedding_block(fh, np.full((3, 64), 0.01))
+
+        def provider(frames):
+            raise AssertionError("a tick ran")
+
+        cfg = PipelineConfig(scenario_dir=str(scenario_dir), scorer_path=str(path))
+        with pytest.raises(MalformedInput, match="scorer.bin: scorer built for D=32"):
+            run(cfg, provider=provider)
 
     def test_learned_scorer_from_file(self, scenario_dir, tmp_path):
         rng = np.random.default_rng(0)

@@ -346,7 +346,6 @@ class TestScenarioDir:
         loaded, back = load_scenario_dir(tmp_path / "scn")
 
         assert loaded.seed == scenario.seed
-        assert loaded.layout == scenario.layout
         assert (loaded.rows, loaded.cols) == (scenario.rows, scenario.cols)
         assert loaded.fps == scenario.fps
         assert loaded.duration_s == scenario.duration_s
@@ -475,7 +474,11 @@ class TestScenarioDir:
         with pytest.raises(MalformedInput, match=f"scenario.json: missing field '{drop[-1]}'"):
             load_scenario_dir(tmp_path / "scn")
 
-    @pytest.mark.parametrize("text", ["{oops", "[]", '{"topology": []}', '{"topology": "x"}'])
+    @pytest.mark.parametrize("text", [
+        "{oops", "[]", '{"topology": []}', '{"topology": "x"}',
+        '{"topology": {"cameras": [{"id": "c001"}]}}',
+        '{"topology": {"adjacent": [["c001", "c009"]]}}',
+    ])
     def test_scenario_json_that_is_no_scenario_names_the_file(self, tmp_path, text):
         scenario, gt = small_scenario()
         write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),

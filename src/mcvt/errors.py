@@ -122,7 +122,3 @@ class OutOfRange(McvtError):
 # simkit
 class InvalidLayout(ConfigError):
     """Unknown scenario layout, or one the camera count does not fit."""
-
-
-class UnknownIdentity(McvtError):
-    """No embedding prototype registered for this identity."""

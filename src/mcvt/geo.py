@@ -167,7 +167,6 @@ def geo_to_pixel(h: Homography, g: GeoPoint) -> PixelPoint:
 @dataclass(frozen=True)
 class CameraInfo:
     id: str
-    position: GeoPoint
     homography: Homography
 
 
@@ -226,23 +225,22 @@ def topology_from_dict(spec: dict) -> CameraTopology:
 
     Expected shape::
 
-        {"cameras": [{"id": "c001", "lat": .., "lon": ..,
+        {"cameras": [{"id": "c001",
                       "homography_pairs": [{"px": .., "py": .., "lat": .., "lon": ..}, ...]}],
          "adjacent": [["c001", "c002"], ...],
          "overlap": [...]}
 
     A camera may carry a literal row-major 9-element ``homography`` array
     instead of ``homography_pairs`` (>= 4 pairs otherwise).  Other camera
-    keys, such as the ``fps`` of older files, are ignored.  A ``spec`` that is
-    not a JSON object raises SettingError; a camera entry or relation that
-    does not fit raises ConfigError.
+    keys, such as the ``lat``, ``lon`` and ``fps`` of older files, are
+    ignored.  A ``spec`` that is not a JSON object raises SettingError; a
+    camera entry or relation that does not fit raises ConfigError.
     """
     check_settings({"topology": spec}, topology=dict)
     cameras = []
     for cam in spec.get("cameras", []):
         try:
             cid = cam["id"]
-            pos = GeoPoint(lat=float(cam["lat"]), lon=float(cam["lon"]))
             if "homography" in cam:
                 h = Homography(np.array(cam["homography"], dtype=float).reshape(3, 3))
             else:
@@ -252,7 +250,7 @@ def topology_from_dict(spec: dict) -> CameraTopology:
                     for p in cam["homography_pairs"]
                 ]
                 h = estimate_homography(pairs)
-            cameras.append(CameraInfo(id=cid, position=pos, homography=h))
+            cameras.append(CameraInfo(id=cid, homography=h))
         except (KeyError, ValueError, DegenerateConfiguration) as exc:
             raise ConfigError(f"bad camera entry {cam.get('id', '?')!r}: {exc}") from exc
     try:
@@ -267,8 +265,6 @@ def topology_to_dict(topo: CameraTopology) -> dict:
         "cameras": [
             {
                 "id": cam.id,
-                "lat": cam.position.lat,
-                "lon": cam.position.lon,
                 "homography": [float(v) for v in cam.homography.m.reshape(-1)],
             }
             for cam in (topo.cameras[cid] for cid in sorted(topo.cameras))

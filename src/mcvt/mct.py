@@ -44,6 +44,8 @@ from .geo import (
 from .reid import l2_normalize, mitigate_camera_bias
 from .sct import ConcludedTrack
 
+BIAS_LAMBDA = 0.1  # camera-bias subtraction weight
+
 
 @dataclass
 class MctConfig:
@@ -51,7 +53,6 @@ class MctConfig:
     v_max: float = 40.0  # m/s
     flush_horizon: float = 120.0  # seconds
     tick_period: float = 2.0  # seconds
-    bias_lambda: float = 0.1  # camera-bias subtraction weight
     use_adjacency: bool = True  # traffic rule 4
     use_direction: bool = True  # traffic rule 5
 
@@ -59,7 +60,7 @@ class MctConfig:
         check_settings(
             vars(self), tau_min=(float, "[0, 1]"), v_max=(float, "(0, inf)"),
             flush_horizon=(float, "(0, inf)"), tick_period=(float, "(0, inf)"),
-            bias_lambda=(float, "[0, 1]"), use_adjacency=bool, use_direction=bool,
+            use_adjacency=bool, use_direction=bool,
         )
 
 
@@ -135,8 +136,8 @@ class MultiCameraTrack:
 
     global_id: int
     members: list  # ConcludedTracks, pairwise camera-distinct
-    cameras: set = field(default_factory=set)
-    last_seen: float = 0.0
+    cameras: set = field(init=False)
+    last_seen: float = field(init=False)
 
     def __post_init__(self):
         self.cameras = {t.camera for t in self.members}
@@ -324,10 +325,8 @@ def supervisor_tick(
     superseded by later merges; the flushed identities are authoritative.
     """
     new_tracks = sorted(new_tracks, key=lambda t: (t.camera, t.track_id))
-    if new_tracks and cfg.bias_lambda > 0.0:
-        adjusted = mitigate_camera_bias(
-            [(t.camera, t.embedding) for t in new_tracks], cfg.bias_lambda
-        )
+    if new_tracks:
+        adjusted = mitigate_camera_bias([(t.camera, t.embedding) for t in new_tracks], BIAS_LAMBDA)
         new_tracks = [replace(t, embedding=e) for t, e in zip(new_tracks, adjusted)]
 
     candidates = [store.active[gid].candidate for gid in sorted(store.active)]

@@ -166,15 +166,17 @@ def _prepare(frame: FrameRecord, cfg: PipelineConfig) -> FrameRecord:
     return frame.select(filter_confidence_indices(frame.detections, cfg.alpha_min))
 
 
-def _embed(frames: list[FrameRecord], embeddings) -> list[FrameRecord]:
-    """The tick's records with the provider's arrays, row counts checked by FrameRecord."""
+def _embed(frames: list[FrameRecord], embeddings, dim: int) -> list[FrameRecord]:
+    """The tick's records with the provider's arrays, of width ``dim`` and one row per detection."""
     embedded = []
     try:
         for record, emb in zip(frames, embeddings, strict=True):
             if record.detections and emb is None:
                 raise SourceMissing(f"camera {record.camera}: detections without embeddings")
+            if emb is not None and np.shape(emb)[1:] != (dim,):
+                raise ValueError(f"array of shape {np.shape(emb)}, rows of width {dim} expected")
             embedded.append(FrameRecord(record.camera, record.frame_index, record.detections, emb))
-    except ValueError as exc:  # a wrong row count, or not one array per record
+    except ValueError as exc:  # a wrong width or row count, or not one array per record
         where = f"camera {frames[len(embedded)].camera}" if len(embedded) < len(frames) else "tick"
         raise MalformedInput(f"{where}: provider output does not fit its frames: {exc}") from None
     return embedded
@@ -254,7 +256,7 @@ def _run_engine(cfg, scenario, streams, trackers, provider, clock):
 
         tick_started = time.perf_counter()
         frames = [_prepare(queues[cid].popleft(), cfg) for cid in cameras if queues[cid]]
-        frames = _embed(frames, provider(frames))
+        frames = _embed(frames, provider(frames), scenario.embed_dim)
         stepped = step_cameras([(trackers[record.camera], record) for record in frames])
         for record, (_, concluded) in zip(frames, stepped):
             processed[record.camera] += 1

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kalman
-from .errors import EmptyGallery, OutOfOrderFrame, check_settings
+from .errors import EmptyGallery, HorizonPoint, MalformedInput, OutOfOrderFrame, check_settings
 from .geo import GeoPoint, Homography, PixelPoint, pixel_to_geo
 from .ingest import Detection, FrameRecord, VehicleClass, iou_matrix
 from .kalman import KalmanState, observation_to_box, to_observation
@@ -149,8 +149,6 @@ def _min_cost_matching(cost: np.ndarray, max_cost: float):
 
     Returns the matches as (row, column) index pairs of the cost matrix.
     """
-    if cost.size == 0:
-        return []
     bounded = np.where(cost > max_cost, _INFEASIBLE, cost)
     rows, cols = linear_sum_assignment(bounded)
     return [(int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] <= max_cost]
@@ -169,10 +167,10 @@ def associate(
     Hungarian per group.  Stage 2 matches all remaining tracks (tentative
     included) to remaining detections by IoU cost.  Each stage builds its
     cost matrix once per frame (one ``appearance_matrix``, one
-    ``kalman.mahalanobis_matrix``, one ``iou_matrix``); the cascade groups
-    slice their rows and the still-free columns out of it.  ``gating`` is the
-    ``kalman.innovation_factors`` pair of the confirmed tracks, in track
-    order; by default it is computed here.  Returns
+    ``kalman.mahalanobis_matrix``, one ``iou_matrix``); each cascade group and
+    the IoU stage match their rows over the columns a mask still marks free.
+    ``gating`` is the ``kalman.innovation_factors`` pair of the confirmed
+    tracks, in track order; by default it is computed here.  Returns
     (matches, unmatched_track_indices, unmatched_detection_indices) with
     matches as (track_index, detection_index) pairs.
     """
@@ -186,7 +184,14 @@ def associate(
     boxes = np.array([(d.x1, d.y1, d.x2, d.y2) for d in frame.detections]).reshape(n_det, 4)
 
     matches: list[tuple[int, int]] = []
-    free_dets = list(range(n_det))
+    free = np.ones(n_det, dtype=bool)
+
+    def match(rows: list[int], cost: np.ndarray, max_cost: float) -> None:
+        """Hungarian of the rows' costs over the free detections, then take the matched ones."""
+        cols = free.nonzero()[0]
+        for r, c in _min_cost_matching(cost[:, cols], max_cost):
+            matches.append((rows[r], int(cols[c])))
+            free[cols[c]] = False
 
     # Stage 1: appearance cascade, youngest miss-age first.
     if confirmed and n_det:
@@ -199,31 +204,20 @@ def associate(
         cost[gate > params.gating_threshold] = _INFEASIBLE
         ages = np.array([tracks[i].time_since_update for i in confirmed])
         for age in np.unique(ages):
-            if not free_dets:
-                break
             group = np.flatnonzero(ages == age)
-            got = _min_cost_matching(
-                cost[np.ix_(group, free_dets)], params.matching_threshold
-            )
-            matches.extend((confirmed[group[gi]], free_dets[dj]) for gi, dj in got)
-            taken = {free_dets[dj] for _, dj in got}
-            free_dets = [d for d in free_dets if d not in taken]
+            match([confirmed[g] for g in group], cost[group], params.matching_threshold)
 
     # Stage 2: IoU assignment for everything left, tentative tracks included.
     matched_tracks = {t for t, _ in matches}
     remaining = [i for i in confirmed if i not in matched_tracks] + others
-    if remaining and free_dets:
+    if remaining and free.any():
         # A predicted box with x2 <= x1 or y2 <= y1 overlaps nothing: cost 1.0.
         predicted = np.array([tracks[i].predicted_box() for i in remaining])
-        cost = 1.0 - iou_matrix(predicted, boxes[free_dets])
-        got = _min_cost_matching(cost, params.iou_max_cost)
-        matches.extend((remaining[ri], free_dets[dj]) for ri, dj in got)
-        taken = {free_dets[dj] for _, dj in got}
-        free_dets = [d for d in free_dets if d not in taken]
+        match(remaining, 1.0 - iou_matrix(predicted, boxes), params.iou_max_cost)
 
     matched_tracks = {t for t, _ in matches}
     unmatched_tracks = [i for i in range(len(tracks)) if i not in matched_tracks]
-    return sorted(matches), unmatched_tracks, free_dets
+    return sorted(matches), unmatched_tracks, free.nonzero()[0].tolist()
 
 
 def majority_class(boxes: list[tuple[int, Detection]]) -> VehicleClass:
@@ -336,9 +330,12 @@ class SingleCameraTracker:
         last_frame, last_det = track.boxes[-1]
 
         def bottom_center(det: Detection) -> GeoPoint:
-            return pixel_to_geo(
-                self.homography, PixelPoint((det.x1 + det.x2) / 2.0, det.y2)
-            )
+            pixel = PixelPoint((det.x1 + det.x2) / 2.0, det.y2)
+            try:
+                return pixel_to_geo(self.homography, pixel)
+            except (ValueError, HorizonPoint) as exc:
+                raise MalformedInput(f"camera {self.camera}: its homography gives no geo point "
+                                     f"for {pixel}: {exc}") from None
 
         return ConcludedTrack(
             camera=track.camera,

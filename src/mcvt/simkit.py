@@ -23,14 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError, InvalidLayout, MalformedInput, SettingError, UnknownIdentity, check_settings,
-)
+from .errors import ConfigError, InvalidLayout, MalformedInput, SettingError, check_settings
 from .geo import (
     CameraInfo,
     GeoPoint,
     Homography,
-    PixelPoint,
     geo_to_pixel,
     make_topology,
     topology_from_dict,
@@ -53,6 +50,9 @@ MAX_FRAMES = 1_000_000  # frames per camera in a scenario: 27.7 h at 10 fps
 MAX_VEHICLES = 10_000  # vehicles gen_scenario makes: 50 times the largest benchmark workload
 MAX_EMBED_DIM = 2048  # gen_scenario's embedding width: a ResNet-50 pooled feature
 MAX_CAMS = 1000  # cameras gen_scenario places: 10 times the 100-camera city scenario
+# The rules of the settings a Scenario keeps, checked by gen_scenario and by Scenario itself.
+_SETTINGS = dict(seed=(int, "[0, inf)"), fps=(float, "(0, inf)"), duration_s=(float, "(0, inf)"),
+                 embed_dim=(int, f"[1, {MAX_EMBED_DIM}]"))
 
 _CLASS_CHOICES = [VehicleClass.CAR, VehicleClass.BUS, VehicleClass.TRUCK,
                   VehicleClass.VAN, VehicleClass.SUV]
@@ -115,6 +115,7 @@ class Scenario:
     topology: object = None
 
     def __post_init__(self):
+        check_settings(vars(self), **_SETTINGS)
         frames = self.duration_s * self.fps
         if not frames <= MAX_FRAMES:  # NaN too
             raise SettingError(f"duration_s * fps is {frames:g} frames, over {MAX_FRAMES}")
@@ -162,13 +163,7 @@ def _build_topology(rows: int, cols: int):
                 [0.0, 0.0, 1.0],
             ]
         )
-        cameras.append(
-            CameraInfo(
-                id=_camera_id(k),
-                position=GeoPoint(lat_m / METERS_PER_DEGREE, x_center / METERS_PER_DEGREE),
-                homography=h,
-            )
-        )
+        cameras.append(CameraInfo(id=_camera_id(k), homography=h))
     adjacent = []
     for k in range(n):
         row, col = divmod(k, cols)
@@ -194,11 +189,8 @@ def gen_scenario(
     Grid: the cameras arranged in rows of parallel corridors (adjacency is the
     4-neighbourhood); each vehicle drives along one row.
     """
-    check_settings(
-        locals(), seed=(int, "[0, inf)"), n_cams=(int, f"[1, {MAX_CAMS}]"),
-        n_vehicles=(int, f"[0, {MAX_VEHICLES}]"), duration_s=(float, "(0, inf)"),
-        fps=(float, "(0, inf)"), embed_dim=(int, f"[1, {MAX_EMBED_DIM}]"),
-    )
+    check_settings(locals(), **_SETTINGS, n_cams=(int, f"[1, {MAX_CAMS}]"),
+                   n_vehicles=(int, f"[0, {MAX_VEHICLES}]"))
     if layout == "corridor":
         rows, cols = 1, n_cams
     elif layout == "grid":
@@ -353,15 +345,9 @@ class EmbeddingOracle:
         self.sigma = sigma
         self.prototypes = dict(zip(identities, vecs))
 
-    def prototype(self, identity) -> np.ndarray:
-        try:
-            return self.prototypes[identity]
-        except KeyError:
-            raise UnknownIdentity(f"no prototype for identity {identity!r}") from None
-
     def oracle_embedding(self, identity, draw: np.random.Generator) -> np.ndarray:
         """Unit embedding for the identity, its noise drawn from `draw`."""
-        proto = self.prototype(identity)
+        proto = self.prototypes[identity]
         if self.sigma == 0.0:
             return proto.copy()
         noisy = proto + self.sigma * draw.standard_normal(self.dim)
@@ -512,23 +498,29 @@ def load_scenario(outdir) -> Scenario:
 def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
     """Read a written scenario directory back into streams (float32 embeddings).
 
-    The scenario.json goes through ``load_scenario``.  An embedding file that
-    does not parse, an embedding file whose dimension differs from the
-    scenario's and an embedding file whose row count differs from its
-    detection file raise MalformedInput naming the file.
+    The scenario.json goes through ``load_scenario``.  A detection file with
+    a frame outside the clip, an embedding file that does not parse, an
+    embedding file whose dimension differs from the scenario's and an
+    embedding file whose row count differs from its detection file raise
+    MalformedInput naming the file.
     """
     outdir = Path(outdir)
     scenario = load_scenario(outdir)
     streams: dict[str, list[FrameRecord]] = {}
     for cid in scenario.camera_ids:
-        frames = read_detection_csv(outdir / f"det_{cid}.csv")
+        det_path = outdir / f"det_{cid}.csv"
+        frames = read_detection_csv(det_path)
+        outside = [frame for frame in frames if not 0 <= frame < scenario.n_frames]
+        if outside:
+            raise MalformedInput(f"{det_path}: frame {outside[0]} outside the clip's "
+                                 f"[0, {scenario.n_frames})")
         emb_path = outdir / f"emb_{cid}.bin"
         emb = read_embeddings(emb_path)
         if emb.shape[1] != scenario.embed_dim:
             raise MalformedInput(
                 f"{emb_path}: embedding dimension {emb.shape[1]}, expected {scenario.embed_dim}"
             )
-        n_dets = sum(len(frames.get(frame, [])) for frame in range(scenario.n_frames))
+        n_dets = sum(map(len, frames.values()))
         if n_dets != emb.shape[0]:
             raise MalformedInput(
                 f"{emb_path}: {emb.shape[0]} embeddings for {n_dets} detections"

@@ -83,6 +83,14 @@ def small_scenario(tmp_path):
     return tmp_path / "scn"
 
 
+def written_scenario(tmp_path, *args):
+    """``gen_scenario(*args)`` written to tmp_path/scn, and its parsed scenario.json."""
+    scenario, gt = gen_scenario(*args)
+    write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
+                       tmp_path / "scn")
+    return tmp_path / "scn", json.loads((tmp_path / "scn" / "scenario.json").read_text())
+
+
 def scorer_bytes(*shapes):
     """EMB1 blocks of the given (rows, D) shapes, as TemporalScorer.load reads them."""
     buf = io.BytesIO()
@@ -219,6 +227,36 @@ class TestRunErrors:
         assert main(["run", "--config", str(cfg)]) == 1
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and "scorer.bin" in line and named in line
+
+    @pytest.mark.parametrize("name, value", [
+        ("fps", 0), ("fps", -10), ("duration_s", 0.0), ("seed", -1), ("embed_dim", 0),
+    ])
+    def test_scenario_json_with_a_bad_setting(self, tmp_path, capsys, name, value):
+        scn, data = written_scenario(tmp_path, 3, 2, 0, 10.0)
+        data["sim"][name] = value
+        (scn / "scenario.json").write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(scn)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "scenario.json" in line and f"{name} must" in line
+
+    def test_homography_that_maps_a_detection_off_the_globe(self, tmp_path, capsys):
+        scn, data = written_scenario(tmp_path, 17, 2, 4, 15.0)  # long enough to conclude tracks
+        data["topology"]["cameras"][0]["homography"] = np.eye(3).ravel().tolist()
+        (scn / "scenario.json").write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(scn)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: camera c001: ") and "outside [-90, 90]" in line
+
+    def test_detection_rows_outside_the_clip(self, tmp_path, capsys):
+        scn, data = written_scenario(tmp_path, 3, 2, 4, 10.0)
+        data["sim"]["duration_s"] = 5.0  # 50 frames; the detection files run to frame 99
+        (scn / "scenario.json").write_text(json.dumps(data))
+        rows = (scn / "det_c001.csv").read_text().splitlines()
+        first = min(frame for frame in (int(row.split(",")[0]) for row in rows) if frame >= 50)
+        assert main(["run", "--scenario", str(scn)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "det_c001.csv" in line
+        assert f"frame {first} outside the clip's [0, 50)" in line
 
     def test_scenario_json_without_sim(self, small_scenario, capsys):
         (small_scenario / "scenario.json").write_text('{"topology": {}}')

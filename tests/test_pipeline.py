@@ -244,6 +244,14 @@ class TestOffline:
         with pytest.raises(MalformedInput, match="camera c002: .* embeddings for"):
             run(PipelineConfig(scenario_dir=str(scenario_dir)), provider=provider)
 
+    def test_provider_array_of_another_width_names_the_camera(self, scenario_dir):
+        def provider(frames):  # camera c002's arrays cut to 32 of 64 columns
+            return [frame.embeddings[:, :32] if frame.camera == "c002" and frame.detections
+                    else frame.embeddings for frame in frames]
+
+        with pytest.raises(MalformedInput, match=r"camera c002: .* \(\d+, 32\), rows of width 64"):
+            run(PipelineConfig(scenario_dir=str(scenario_dir)), provider=provider)
+
     def test_scorer_of_another_width_fails_before_the_first_tick(self, scenario_dir, tmp_path):
         path = tmp_path / "scorer.bin"
         with open(path, "wb") as fh:  # D = 32 against the scenario's 64

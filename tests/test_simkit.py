@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from mcvt.errors import InvalidLayout, MalformedInput, UnknownIdentity
-from mcvt.geo import are_adjacent, are_overlapping, haversine_distance, pixel_to_geo
+from mcvt.errors import InvalidLayout, MalformedInput
+from mcvt.geo import PixelPoint, are_adjacent, are_overlapping, haversine_distance, pixel_to_geo
 from mcvt.simkit import (
     CAM_SPACING_M,
+    IMAGE_SIZE,
     MAX_CAMS,
     MAX_EMBED_DIM,
     MAX_VEHICLES,
@@ -28,13 +29,19 @@ def small_scenario(seed=7, n_cams=3, n_vehicles=6, duration_s=40.0, **kw):
     return gen_scenario(seed, n_cams, n_vehicles, duration_s, **kw)
 
 
+def viewport_centre(camera):
+    """Where the camera's centre pixel lands on the ground."""
+    width, height = IMAGE_SIZE
+    return pixel_to_geo(camera.homography, PixelPoint(width / 2.0, height / 2.0))
+
+
 class TestLayout:
     def test_corridor_camera_ids_and_spacing(self):
         scenario, _ = small_scenario(n_cams=6)
         assert scenario.camera_ids == ["c001", "c002", "c003", "c004", "c005", "c006"]
         cams = scenario.topology.cameras
         for a, b in zip(scenario.camera_ids, scenario.camera_ids[1:]):
-            gap = haversine_distance(cams[a].position, cams[b].position)
+            gap = haversine_distance(viewport_centre(cams[a]), viewport_centre(cams[b]))
             assert gap == pytest.approx(CAM_SPACING_M, abs=1e-6)
 
     def test_corridor_adjacency_is_a_chain(self):
@@ -55,7 +62,7 @@ class TestLayout:
         assert not are_adjacent(topo, "c001", "c004")  # diagonal
         # second row sits one row-spacing further north
         lat_gap = haversine_distance(
-            topo.cameras["c001"].position, topo.cameras["c003"].position
+            viewport_centre(topo.cameras["c001"]), viewport_centre(topo.cameras["c003"])
         )
         assert lat_gap == pytest.approx(600.0, abs=1e-6)
 
@@ -198,27 +205,27 @@ class TestNoiseProfile:
 class TestEmbeddingOracle:
     def test_prototypes_orthonormal_when_they_fit(self):
         oracle = EmbeddingOracle(range(1, 9), dim=16, seed=3)
-        protos = np.stack([oracle.prototype(i) for i in range(1, 9)])
+        protos = np.stack([oracle.prototypes[i] for i in range(1, 9)])
         gram = protos @ protos.T
         assert np.allclose(gram, np.eye(8), atol=1e-10)
 
     def test_more_identities_than_dims_still_unit_norm(self):
         oracle = EmbeddingOracle(range(12), dim=8, seed=0)
         for i in range(12):
-            assert np.linalg.norm(oracle.prototype(i)) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(oracle.prototypes[i]) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_sigma_returns_prototype_exactly(self):
         oracle = EmbeddingOracle([1, 2, 3], dim=32, sigma=0.0, seed=5)
         emb = oracle.oracle_embedding(2, draw=np.random.default_rng(0))
-        assert np.array_equal(emb, oracle.prototype(2))
+        assert np.array_equal(emb, oracle.prototypes[2])
         emb[0] = 99.0  # the draw must be a copy, not the stored prototype
-        assert oracle.prototype(2)[0] != 99.0
+        assert oracle.prototypes[2][0] != 99.0
 
     def test_small_sigma_stays_close(self):
         oracle = EmbeddingOracle(range(10), dim=64, sigma=0.01, seed=2)
         rng = np.random.default_rng(0)
         dots = [
-            float(oracle.oracle_embedding(i, draw=rng) @ oracle.prototype(i))
+            float(oracle.oracle_embedding(i, draw=rng) @ oracle.prototypes[i])
             for i in range(10)
             for _ in range(20)
         ]
@@ -230,7 +237,7 @@ class TestEmbeddingOracle:
         # lookup stays dominantly right (observed 0.955 with these seeds).
         ids = list(range(1, 41))
         oracle = EmbeddingOracle(ids, dim=64, sigma=0.25, seed=9)
-        protos = np.stack([oracle.prototype(i) for i in ids])
+        protos = np.stack([oracle.prototypes[i] for i in ids])
         rng = np.random.default_rng(1)
         hits = 0
         trials = 0
@@ -240,13 +247,6 @@ class TestEmbeddingOracle:
                 hits += int(ids[int(np.argmax(protos @ emb))] == i)
                 trials += 1
         assert hits / trials >= 0.9
-
-    def test_unknown_identity(self):
-        oracle = EmbeddingOracle([1, 2], dim=8)
-        with pytest.raises(UnknownIdentity):
-            oracle.prototype(3)
-        with pytest.raises(UnknownIdentity):
-            oracle.oracle_embedding("nope", draw=np.random.default_rng(0))
 
 
 class TestRender:
@@ -276,7 +276,7 @@ class TestRender:
                 truth = gt.boxes[cid].get(record.frame_index, [])
                 for row, (gid, _) in enumerate(truth):
                     assert np.array_equal(
-                        record.embeddings[row], oracle.prototype(gid)
+                        record.embeddings[row], oracle.prototypes[gid]
                     )
 
     def test_render_is_deterministic(self):

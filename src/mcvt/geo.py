@@ -234,7 +234,8 @@ def topology_from_dict(spec: dict) -> CameraTopology:
     instead of ``homography_pairs`` (>= 4 pairs otherwise).  Other camera
     keys, such as the ``lat``, ``lon`` and ``fps`` of older files, are
     ignored.  A ``spec`` that is not a JSON object raises SettingError; a
-    camera entry or relation that does not fit raises ConfigError.
+    camera entry or relation that does not fit, and an ``adjacent`` or
+    ``overlap`` entry that is not a list of exactly two ids, raise ConfigError.
     """
     check_settings({"topology": spec}, topology=dict)
     cameras = []
@@ -253,6 +254,10 @@ def topology_from_dict(spec: dict) -> CameraTopology:
             cameras.append(CameraInfo(id=cid, homography=h))
         except (KeyError, ValueError, DegenerateConfiguration) as exc:
             raise ConfigError(f"bad camera entry {cam.get('id', '?')!r}: {exc}") from exc
+    for relation in ("adjacent", "overlap"):
+        for pair in spec.get(relation, ()):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ConfigError(f"{relation} entry {pair!r} is not a pair of two camera ids")
     try:
         return make_topology(cameras, spec.get("adjacent", ()), spec.get("overlap", ()))
     except ValueError as exc:

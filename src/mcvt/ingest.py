@@ -51,6 +51,8 @@ class Detection:
             raise ValueError("detection fields must be finite")
         if not (self.x2 > self.x1 and self.y2 > self.y1):
             raise ValueError(f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
+        if not math.isfinite((self.x2 - self.x1) * (self.y2 - self.y1)):  # the area
+            raise ValueError(f"box ({self.x1}, {self.y1}, {self.x2}, {self.y2}) has no finite area")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"confidence {self.alpha} outside [0, 1]")
 
@@ -106,14 +108,14 @@ def iou(a: Detection, b: Detection) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of (T, 4) against (N, 4) corner boxes: (T, N).
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corresponding corner boxes of two (..., 4) arrays, broadcast together.
 
     Same float operations in the same order as ``iou``, so every entry equals
     ``iou`` of the pair exactly.
     """
-    a = np.asarray(a, dtype=float)[:, None, :]
-    b = np.asarray(b, dtype=float)[None, :, :]
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     overlap = (ix > 0.0) & (iy > 0.0)
@@ -121,6 +123,11 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     return np.divide(inter, area_a + area_b - inter, out=np.zeros(inter.shape), where=overlap)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of (T, 4) against (N, 4) corner boxes: (T, N), entry for entry ``iou``."""
+    return iou_pairs(np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[None])
 
 
 def read_csv_rows(path, what: str, parse):

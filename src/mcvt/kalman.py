@@ -187,11 +187,14 @@ def innovation_factors(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray,
 def mahalanobis_matrix(factors, measurements: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distances (T, N) of N measurements from T factored states.
 
-    ``factors`` is the ``innovation_factors`` pair; the (T, 4, N) innovations
-    are solved against all T factors at once.
+    ``factors`` is the ``innovation_factors`` pair.  ``measurements`` is (N, 4),
+    shared by every state, or (T, N, 4), each state's own N rows.  The (T, 4, N)
+    innovations are solved against all T factors at once; each state's rows
+    get the same operations either way.
     """
     proj_means, chol = factors
-    innovations = np.asarray(measurements, dtype=float).T[None, :, :] - proj_means[:, :, None]
+    measurements = np.asarray(measurements, dtype=float)
+    innovations = np.swapaxes(measurements, -1, -2) - proj_means[:, :, None]
     z = np.linalg.solve(chol, innovations)
     return np.sum(z * z, axis=1)
 

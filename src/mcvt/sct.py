@@ -9,16 +9,24 @@ summarized into a single embedding plus start/end time-location metadata for
 the multi-camera stage.
 
 One tick of many cameras is stepped as one batch (:func:`step_cameras`): one
-stacked Kalman predict over every live track of every camera, one stacked
-projection and Cholesky over the confirmed tracks that meet detections, and
-one stacked update over every matched track.  Matching stays per camera:
-each camera frame is scored in one pass, with one appearance matrix over the
-concatenated galleries of its confirmed tracks, one gating matrix from its
-rows of the tick's Cholesky factors and one IoU matrix; every cascade group
-slices its rows and the still-free detection columns out of the frame's
-matrix.  ``SingleCameraTracker.step`` is the one-camera form.  A track keeps
-its frame-level features in one growing array; its gallery is a view of the
-last ``gallery_budget`` rows.
+stacked Kalman predict over every live track of every camera, one tick pass
+of association, and one stacked update over every matched track.  The tick
+pass builds every camera's costs at once (``_TickCosts``): one box array and
+one ``box_observations`` for every detection of the tick, the predicted boxes
+from the stacked means, one element-wise IoU over every same-camera (track,
+detection) pair, one Cholesky over the confirmed tracks that meet detections
+with one Mahalanobis solve per distinct detection count, and one appearance
+matrix per camera.  It then decides most cameras from the feasibility masks
+alone (``_settled``): where every track has at most one feasible detection
+and every detection at most one feasible track, in the cascade and in the
+IoU stage, Hungarian would return exactly the feasible pairs, because
+infeasible entries cost 1e5 and feasible ones lie in [-2, 2].  Only a camera
+whose feasible pairs conflict, or that holds a NaN cost, runs the DeepSORT
+cascade of Hungarian matchings and then the IoU stage (``_match_camera``),
+on its blocks of the tick's costs.  ``associate`` and
+``SingleCameraTracker.step`` are the one-camera forms.  A track keeps its
+frame-level features in one growing array; its gallery is a view of the last
+``gallery_budget`` rows.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from scipy.optimize import linear_sum_assignment
 from . import kalman
 from .errors import EmptyGallery, HorizonPoint, MalformedInput, OutOfOrderFrame, check_settings
 from .geo import GeoPoint, Homography, PixelPoint, pixel_to_geo
-from .ingest import Detection, FrameRecord, VehicleClass, iou_matrix
+from .ingest import Detection, FrameRecord, VehicleClass, iou_pairs
 from .kalman import KalmanState, observation_to_box, to_observation
 from .reid import l2_normalize, temporal_aggregate
 
@@ -100,10 +108,6 @@ class SCTrack:
         self.history[self.n_features] = embedding
         self.n_features += 1
 
-    def predicted_box(self) -> tuple[float, float, float, float]:
-        u, v, r, h = self.state.mean[:4]
-        return observation_to_box(u, v, r, h)
-
 
 @dataclass
 class ConcludedTrack:
@@ -154,35 +158,138 @@ def _min_cost_matching(cost: np.ndarray, max_cost: float):
     return [(int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] <= max_cost]
 
 
-def associate(
-    tracks: list[SCTrack],
-    frame: FrameRecord,
-    params: TrackerParams | None = None,
-    gating=None,
-):
-    """Two-stage detection-to-track association for one frame.
+def _settled(cost, max_cost, rows, cols, n_rows: int, n_cols: int):
+    """Split one matching stage's entries into those the feasibility mask decides.
+
+    Entry k of the flat ``cost`` sits at (rows[k], cols[k]) and is feasible
+    when cost[k] <= max_cost[k].  Returns (feasible, unsettled) masks.  An
+    entry is unsettled if it is feasible and shares its row or its column with
+    another feasible entry, if it is NaN (Hungarian refuses it), or if it is
+    feasible outside [-2, 2], the cost range of unit embeddings and of 1 - IoU.
+
+    A matrix with no unsettled entry is matched by ``_min_cost_matching`` to
+    exactly its feasible entries, whatever the solver does with ties: every
+    other entry costs ``_INFEASIBLE`` there, so an assignment that leaves out
+    a feasible (r, c) pays that for the entries it gives r and c instead, and
+    taking (r, c) while pairing their two former partners costs less.
+    """
+    feasible = cost <= max_cost
+    row_hits = np.bincount(rows[feasible], minlength=n_rows)
+    col_hits = np.bincount(cols[feasible], minlength=n_cols)
+    unsettled = feasible & ((row_hits[rows] > 1) | (col_hits[cols] > 1))
+    unsettled |= ~((cost > max_cost) | (np.abs(cost) <= 2.0))
+    return feasible, unsettled
+
+
+def _offsets(counts) -> np.ndarray:
+    """Start offsets of consecutive runs of the given lengths, then their total."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def _stacked_states(tracks: list[SCTrack]) -> tuple[np.ndarray, np.ndarray]:
+    if not tracks:
+        return np.empty((0, 8)), np.empty((0, 8, 8))
+    return kalman.stack_states(track.state for track in tracks)
+
+
+class _TickCosts:
+    """The association costs of one tick's cameras, built in one pass.
+
+    ``cameras`` holds one (tracks, frame, params) triple per camera;
+    ``means`` and ``covs`` stack the states of every camera's tracks, camera
+    by camera.  Tracks and detections are numbered across the tick in that
+    order.  ``iou`` covers every same-camera (track, detection) pair, camera
+    by camera and track-major, so a camera's IoU block is a reshape of its
+    slice.  ``gate`` and ``appearance`` cover the confirmed tracks' pairs in
+    the same order.  The gate takes one ``kalman.mahalanobis_matrix`` per
+    distinct detection count: tracks are stacked, never padded, so each entry
+    equals the one-camera matrix's.  The appearance takes one
+    ``appearance_matrix`` per camera, of the same shape as a one-camera call.
+    ``gating`` is the ``kalman.innovation_factors`` pair of the confirmed
+    tracks of the cameras with detections, or None to compute it here.
+    """
+
+    def __init__(self, cameras, means: np.ndarray, covs: np.ndarray, gating):
+        for _, frame, _ in cameras:
+            if frame.detections and frame.embeddings is None:
+                raise ValueError("frame detections must carry embeddings for association")
+        camera_ids = np.arange(len(cameras))
+        self.n_tracks = np.array([len(tracks) for tracks, _, _ in cameras], dtype=np.int64)
+        self.n_dets = np.array([len(frame.detections) for _, frame, _ in cameras], dtype=np.int64)
+        self.track_off, self.det_off = _offsets(self.n_tracks), _offsets(self.n_dets)
+        self.track_cam = np.repeat(camera_ids, self.n_tracks)
+        confirmed = np.array(
+            [t.status is TrackStatus.CONFIRMED for tracks, _, _ in cameras for t in tracks],
+            dtype=bool,
+        )
+        self.n_confirmed = np.bincount(self.track_cam[confirmed], minlength=len(cameras))
+        boxes = np.array(
+            [(d.x1, d.y1, d.x2, d.y2) for _, frame, _ in cameras for d in frame.detections]
+        ).reshape(-1, 4)
+        self.observations = kalman.box_observations(boxes)
+
+        per_camera = self.n_tracks * self.n_dets
+        self.pair_off = _offsets(per_camera)
+        self.pair_cam = np.repeat(camera_ids, per_camera)
+        within = np.arange(self.pair_off[-1]) - self.pair_off[self.pair_cam]
+        width = self.n_dets[self.pair_cam]
+        self.pair_track = self.track_off[self.pair_cam] + within // width
+        self.pair_det = self.det_off[self.pair_cam] + within % width
+        # A predicted box with x2 <= x1 or y2 <= y1 overlaps nothing: IoU 0.
+        predicted = np.stack(observation_to_box(*means[:, :4].T), axis=1)
+        self.iou = iou_pairs(predicted[self.pair_track], boxes[self.pair_det])
+
+        confirmed_pair = confirmed[self.pair_track]
+        self.conf_off = _offsets(self.n_confirmed * self.n_dets)
+        self.conf_cam = self.pair_cam[confirmed_pair]
+        self.conf_track = self.pair_track[confirmed_pair]
+        self.conf_det = self.pair_det[confirmed_pair]
+        gated = np.flatnonzero(confirmed & (self.n_dets > 0)[self.track_cam])
+        self.gate = np.empty(len(self.conf_track))
+        if len(gated):
+            if gating is None:
+                gating = kalman.innovation_factors(means[gated], covs[gated])
+            counts = self.n_dets[self.track_cam[gated]]
+            starts = _offsets(counts)
+            for n in np.unique(counts).tolist():
+                rows = np.flatnonzero(counts == n)
+                dets = self.det_off[self.track_cam[gated[rows]], None] + np.arange(n)
+                self.gate[starts[rows, None] + np.arange(n)] = kalman.mahalanobis_matrix(
+                    (gating[0][rows], gating[1][rows]), self.observations[dets]
+                )
+        self.appearance = np.concatenate([np.empty(0)] + [
+            appearance_matrix(
+                [t.gallery for t in tracks if t.status is TrackStatus.CONFIRMED], frame.embeddings
+            ).ravel()
+            for (tracks, frame, _), k, n in zip(cameras, self.n_confirmed, self.n_dets)
+            if k and n
+        ])
+
+    def blocks(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Camera c's IoU block (its tracks x detections), and its gate and
+        appearance blocks (its confirmed tracks x detections)."""
+        n = self.n_dets[c]
+        confirmed = slice(self.conf_off[c], self.conf_off[c + 1])
+        return (
+            self.iou[self.pair_off[c] : self.pair_off[c + 1]].reshape(self.n_tracks[c], n),
+            self.gate[confirmed].reshape(self.n_confirmed[c], n),
+            self.appearance[confirmed].reshape(self.n_confirmed[c], n),
+        )
+
+
+def _match_camera(tracks: list[SCTrack], iou, gate, appearance, params: TrackerParams):
+    """Hungarian matching of one camera frame on its blocks of the tick's costs.
 
     Stage 1 runs the matching cascade over confirmed tracks grouped by
-    ascending time_since_update: appearance cost with Mahalanobis gating,
-    Hungarian per group.  Stage 2 matches all remaining tracks (tentative
-    included) to remaining detections by IoU cost.  Each stage builds its
-    cost matrix once per frame (one ``appearance_matrix``, one
-    ``kalman.mahalanobis_matrix``, one ``iou_matrix``); each cascade group and
-    the IoU stage match their rows over the columns a mask still marks free.
-    ``gating`` is the ``kalman.innovation_factors`` pair of the confirmed
-    tracks, in track order; by default it is computed here.  Returns
-    (matches, unmatched_track_indices, unmatched_detection_indices) with
-    matches as (track_index, detection_index) pairs.
+    ascending time_since_update: appearance cost with gated-out entries
+    infeasible, Hungarian per group.  Stage 2 matches all remaining tracks
+    (tentative included) to remaining detections by 1 - IoU.  Each cascade
+    group and the IoU stage match their rows over the columns a mask still
+    marks free.  Returns the matches as (track_index, detection_index) pairs.
     """
-    params = params or TrackerParams()
-    n_det = len(frame.detections)
-    if n_det and frame.embeddings is None:
-        raise ValueError("frame detections must carry embeddings for association")
-
     confirmed = [i for i, t in enumerate(tracks) if t.status is TrackStatus.CONFIRMED]
     others = [i for i, t in enumerate(tracks) if t.status is not TrackStatus.CONFIRMED]
-    boxes = np.array([(d.x1, d.y1, d.x2, d.y2) for d in frame.detections]).reshape(n_det, 4)
-
+    n_det = iou.shape[1]
     matches: list[tuple[int, int]] = []
     free = np.ones(n_det, dtype=bool)
 
@@ -195,13 +302,7 @@ def associate(
 
     # Stage 1: appearance cascade, youngest miss-age first.
     if confirmed and n_det:
-        if gating is None:
-            gating = kalman.innovation_factors(
-                *kalman.stack_states(tracks[i].state for i in confirmed)
-            )
-        cost = appearance_matrix([tracks[i].gallery for i in confirmed], frame.embeddings)
-        gate = kalman.mahalanobis_matrix(gating, kalman.box_observations(boxes))
-        cost[gate > params.gating_threshold] = _INFEASIBLE
+        cost = np.where(gate > params.gating_threshold, _INFEASIBLE, appearance)
         ages = np.array([tracks[i].time_since_update for i in confirmed])
         for age in np.unique(ages):
             group = np.flatnonzero(ages == age)
@@ -211,13 +312,93 @@ def associate(
     matched_tracks = {t for t, _ in matches}
     remaining = [i for i in confirmed if i not in matched_tracks] + others
     if remaining and free.any():
-        # A predicted box with x2 <= x1 or y2 <= y1 overlaps nothing: cost 1.0.
-        predicted = np.array([tracks[i].predicted_box() for i in remaining])
-        match(remaining, 1.0 - iou_matrix(predicted, boxes), params.iou_max_cost)
+        match(remaining, 1.0 - iou[remaining], params.iou_max_cost)
+    return matches
 
-    matched_tracks = {t for t, _ in matches}
-    unmatched_tracks = [i for i in range(len(tracks)) if i not in matched_tracks]
-    return sorted(matches), unmatched_tracks, free.nonzero()[0].tolist()
+
+def _associate_tick(cameras, means: np.ndarray, covs: np.ndarray, gating):
+    """Two-stage association of every camera of a tick in one pass.
+
+    Builds the tick's ``_TickCosts`` from the arguments, then decides both
+    stages for every camera at once from the feasibility masks (``_settled``),
+    each camera with its own ``TrackerParams``: the cascade's feasible pairs
+    have an appearance cost <= matching_threshold and a gate <=
+    gating_threshold; the IoU stage's have 1 - IoU <= iou_max_cost between a
+    track and a detection that the cascade left unmatched.  A camera none of
+    whose entries is unsettled takes exactly its feasible pairs of both
+    stages, which is what Hungarian would return, group by group: no
+    detection is feasible for two tracks, so no cascade group takes another's
+    column.  Every other camera goes through ``_match_camera`` on its blocks.
+    Returns (costs, tracks, detections): the matched pairs, numbered across
+    the tick, sorted by track.
+    """
+    costs = _TickCosts(cameras, means, covs, gating)
+    n_tracks, n_dets = costs.track_off[-1], costs.det_off[-1]
+    thresholds = np.array(
+        [(p.gating_threshold, p.matching_threshold, p.iou_max_cost) for _, _, p in cameras]
+    ).reshape(-1, 3)
+    gate_max, match_max, iou_max = thresholds.T
+
+    cascade = np.where(costs.gate > gate_max[costs.conf_cam], _INFEASIBLE, costs.appearance)
+    first, unsettled_first = _settled(
+        cascade, match_max[costs.conf_cam], costs.conf_track, costs.conf_det, n_tracks, n_dets
+    )
+    taken_tracks = np.zeros(n_tracks, dtype=bool)
+    taken_tracks[costs.conf_track[first]] = True
+    taken_dets = np.zeros(n_dets, dtype=bool)
+    taken_dets[costs.conf_det[first]] = True
+    left = taken_tracks[costs.pair_track] | taken_dets[costs.pair_det]
+    second, unsettled_second = _settled(
+        np.where(left, np.inf, 1.0 - costs.iou), iou_max[costs.pair_cam],
+        costs.pair_track, costs.pair_det, n_tracks, n_dets,
+    )
+
+    hungarian = np.zeros(len(cameras), dtype=bool)
+    hungarian[costs.conf_cam[unsettled_first]] = True
+    hungarian[costs.pair_cam[unsettled_second]] = True
+    first &= ~hungarian[costs.conf_cam]
+    second &= ~hungarian[costs.pair_cam]
+    tracks = [costs.conf_track[first], costs.pair_track[second]]
+    dets = [costs.conf_det[first], costs.pair_det[second]]
+    for c in np.flatnonzero(hungarian).tolist():
+        camera_tracks, _, params = cameras[c]
+        matches = _match_camera(camera_tracks, *costs.blocks(c), params)
+        if matches:
+            matched = np.array(matches)
+            tracks.append(matched[:, 0] + costs.track_off[c])
+            dets.append(matched[:, 1] + costs.det_off[c])
+    tracks, dets = np.concatenate(tracks), np.concatenate(dets)
+    order = np.argsort(tracks)
+    return costs, tracks[order], dets[order]
+
+
+def associate(
+    tracks: list[SCTrack],
+    frame: FrameRecord,
+    params: TrackerParams | None = None,
+    gating=None,
+):
+    """Two-stage detection-to-track association for one frame.
+
+    The one-camera call into the tick pass (``_associate_tick``).  Stage 1
+    runs the matching cascade over confirmed tracks grouped by ascending
+    time_since_update: appearance cost with Mahalanobis gating, Hungarian per
+    group.  Stage 2 matches all remaining tracks (tentative included) to
+    remaining detections by IoU cost.  ``gating`` is the
+    ``kalman.innovation_factors`` pair of the confirmed tracks, in track
+    order; by default it is computed here.  Returns
+    (matches, unmatched_track_indices, unmatched_detection_indices) with
+    matches as (track_index, detection_index) pairs.
+    """
+    params = params or TrackerParams()
+    _, matched, dets = _associate_tick([(tracks, frame, params)], *_stacked_states(tracks), gating)
+    matched, dets = matched.tolist(), dets.tolist()
+    taken = set(matched)
+    return (
+        list(zip(matched, dets)),
+        [i for i in range(len(tracks)) if i not in taken],
+        np.setdiff1d(np.arange(len(frame.detections)), dets).tolist(),
+    )
 
 
 def majority_class(boxes: list[tuple[int, Detection]]) -> VehicleClass:
@@ -280,13 +461,15 @@ class SingleCameraTracker:
             )
 
     def _close_step(
-        self, frame: FrameRecord, matched: set[int], unmatched_dets: list[int]
+        self, frame: FrameRecord, matched: list[bool], unmatched_dets: list[int]
     ) -> tuple[list[SCTrack], list[ConcludedTrack]]:
-        """Lifecycle after the updates: drop, conclude, keep, then initiate."""
+        """Lifecycle after the updates: drop, conclude, keep, then initiate.
+
+        ``matched`` flags each track of the step's start, in order."""
         concluded: list[ConcludedTrack] = []
         survivors: list[SCTrack] = []
-        for i, track in enumerate(self.tracks):
-            if i in matched:
+        for track, was_matched in zip(self.tracks, matched):
+            if was_matched:
                 survivors.append(track)
                 continue
             if track.status is TrackStatus.TENTATIVE:
@@ -357,12 +540,14 @@ def step_cameras(
 
     Every frame's order is checked, and a tracker given twice is rejected,
     before any state changes.  Then one stacked ``kalman.predict_many`` runs
-    over every live track of every camera, and one ``innovation_factors``
-    over the confirmed tracks of the cameras whose frame has detections; each
-    camera's rows of it gate that camera's ``associate``.  Matching stays per
-    camera.  One stacked ``kalman.update_many`` then updates every matched
-    track of every camera before each camera's lifecycle runs.  Returns one
-    (active tracks, concluded tracks) pair per input pair, in input order.
+    over every live track of every camera, and one tick pass
+    (``_associate_tick``) matches every camera: one ``innovation_factors``
+    over the confirmed tracks of the cameras whose frame has detections, one
+    IoU over every same-camera pair, and Hungarian only for the cameras whose
+    feasible pairs conflict.  One stacked ``kalman.update_many`` then updates
+    every matched track of every camera from the tick's box observations
+    before each camera's lifecycle runs.  Returns one (active tracks,
+    concluded tracks) pair per input pair, in input order.
     """
     trackers = [tracker for tracker, _ in pairs]
     if len({id(tracker) for tracker in trackers}) != len(trackers):
@@ -373,42 +558,34 @@ def step_cameras(
         tracker._last_frame = frame.frame_index
 
     live = [track for tracker in trackers for track in tracker.tracks]
+    means, covs = _stacked_states(live)
     if live:
-        means, covs = kalman.predict_many(*kalman.stack_states(track.state for track in live))
+        means, covs = kalman.predict_many(means, covs)
         for track, mean, cov in zip(live, means, covs):
             track.state = KalmanState(mean=mean, cov=cov)
             track.time_since_update += 1
 
-    gated = [
-        [t for t in tracker.tracks if t.status is TrackStatus.CONFIRMED] if frame.detections else []
-        for tracker, frame in pairs
-    ]
-    bounds = np.cumsum([0] + [len(tracks) for tracks in gated])
-    factors = None
-    if bounds[-1]:
-        factors = kalman.innovation_factors(
-            *kalman.stack_states(t.state for tracks in gated for t in tracks)
-        )
+    costs, matched, dets = _associate_tick(
+        [(tracker.tracks, frame, tracker.params) for tracker, frame in pairs], means, covs, None
+    )
+    track_cam, det_off = costs.track_cam.tolist(), costs.det_off.tolist()
+    if len(matched):
+        means, covs = kalman.update_many(means[matched], covs[matched], costs.observations[dets])
+        for ti, di, mean, cov in zip(matched.tolist(), dets.tolist(), means, covs):
+            tracker, frame = pairs[track_cam[ti]]
+            live[ti].state = KalmanState(mean=mean, cov=cov)
+            tracker._record_match(live[ti], frame, di - det_off[track_cam[ti]])
 
-    associations = []
-    updates: list[tuple[SingleCameraTracker, FrameRecord, SCTrack, int]] = []
-    for (tracker, frame), lo, hi in zip(pairs, bounds[:-1], bounds[1:]):
-        gating = None if factors is None else (factors[0][lo:hi], factors[1][lo:hi])
-        matches, _, unmatched_dets = associate(tracker.tracks, frame, tracker.params, gating)
-        associations.append(({ti for ti, _ in matches}, unmatched_dets))
-        updates.extend((tracker, frame, tracker.tracks[ti], di) for ti, di in matches)
-
-    if updates:
-        boxes = [frame.detections[di] for _, frame, _, di in updates]
-        observations = kalman.box_observations([(d.x1, d.y1, d.x2, d.y2) for d in boxes])
-        means, covs = kalman.update_many(
-            *kalman.stack_states(track.state for _, _, track, _ in updates), observations
-        )
-        for (tracker, frame, track, di), mean, cov in zip(updates, means, covs):
-            track.state = KalmanState(mean=mean, cov=cov)
-            tracker._record_match(track, frame, di)
-
+    is_matched = np.zeros(len(live), dtype=bool)
+    is_matched[matched] = True
+    is_free = np.ones(det_off[-1], dtype=bool)
+    is_free[dets] = False
+    track_off = costs.track_off.tolist()
     return [
-        tracker._close_step(frame, matched, unmatched_dets)
-        for (tracker, frame), (matched, unmatched_dets) in zip(pairs, associations)
+        tracker._close_step(
+            frame,
+            is_matched[track_off[c] : track_off[c + 1]].tolist(),
+            np.flatnonzero(is_free[det_off[c] : det_off[c + 1]]).tolist(),
+        )
+        for c, (tracker, frame) in enumerate(pairs)
     ]

@@ -50,6 +50,7 @@ MAX_FRAMES = 1_000_000  # frames per camera in a scenario: 27.7 h at 10 fps
 MAX_VEHICLES = 10_000  # vehicles gen_scenario makes: 50 times the largest benchmark workload
 MAX_EMBED_DIM = 2048  # gen_scenario's embedding width: a ResNet-50 pooled feature
 MAX_CAMS = 1000  # cameras gen_scenario places: 10 times the 100-camera city scenario
+UNIT_ROW_TOLERANCE = 1e-6  # of an embedding row's norm; written float32 rows are within 2.1e-8
 # The rules of the settings a Scenario keeps, checked by gen_scenario and by Scenario itself.
 _SETTINGS = dict(seed=(int, "[0, inf)"), fps=(float, "(0, inf)"), duration_s=(float, "(0, inf)"),
                  embed_dim=(int, f"[1, {MAX_EMBED_DIM}]"))
@@ -500,7 +501,9 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
 
     The scenario.json goes through ``load_scenario``.  A detection file with
     a frame outside the clip, an embedding file that does not parse, an
-    embedding file whose dimension differs from the scenario's and an
+    embedding file whose dimension differs from the scenario's, an embedding
+    file with a row that is not a finite unit vector (norm within
+    ``UNIT_ROW_TOLERANCE`` of 1; the row is named, counting from 0) and an
     embedding file whose row count differs from its detection file raise
     MalformedInput naming the file.
     """
@@ -520,6 +523,11 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
             raise MalformedInput(
                 f"{emb_path}: embedding dimension {emb.shape[1]}, expected {scenario.embed_dim}"
             )
+        norms = np.linalg.norm(emb, axis=1)
+        not_unit = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_ROW_TOLERANCE))
+        if len(not_unit):
+            raise MalformedInput(f"{emb_path}: row {not_unit[0]} is not a finite unit vector "
+                                 f"(norm {norms[not_unit[0]]})")
         n_dets = sum(map(len, frames.values()))
         if n_dets != emb.shape[0]:
             raise MalformedInput(

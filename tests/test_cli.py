@@ -200,9 +200,37 @@ class TestRunErrors:
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and "emb_c002.bin" in line and "dimension 32" in line
 
+    @pytest.mark.parametrize("corrupt, row", [
+        (lambda emb: emb.__setitem__((2, 5), np.nan), 2),
+        (lambda emb: emb.__setitem__((3, 0), np.inf), 3),
+        (lambda emb: emb.__setitem__(slice(None), 0.0), 0),
+        (lambda emb: emb.__imul__(100.0), 0),
+    ], ids=["nan", "inf", "all-zero", "scaled-by-100"])
+    def test_embedding_rows_that_are_not_finite_unit_vectors(self, tmp_path, capsys,
+                                                             corrupt, row):
+        scn, _ = written_scenario(tmp_path, 3, 2, 4, 10.0)
+        emb = read_embeddings(scn / "emb_c001.bin")
+        corrupt(emb)
+        write_embeddings(scn / "emb_c001.bin", emb)
+        assert main(["run", "--scenario", str(scn)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "emb_c001.bin" in line
+        assert f"row {row} is not a finite unit vector" in line
+
+    def test_box_whose_area_is_not_finite(self, small_scenario, capsys):
+        with open(small_scenario / "det_c001.csv", "a") as fh:
+            fh.write("5,-1,10.0,10.0,1e308,1e308,0.9,1\n")
+        assert main(["run", "--scenario", str(small_scenario)]) == 1
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ") and "det_c001.csv, line" in line
+        assert "no finite area" in line
+
     @pytest.mark.parametrize("topology, named", [
         ({"cameras": [{"id": "c001"}]}, "bad camera entry 'c001'"),
         ({"adjacent": [["c001", "c009"]]}, "unknown camera"),
+        ({"adjacent": [["c001", "c002", "c001"]]}, "not a pair of two camera ids"),
+        ({"adjacent": [["c001", "c002"]], "overlap": [["c001"]]}, "not a pair of two camera ids"),
+        ({"adjacent": ["c1"]}, "not a pair of two camera ids"),
     ])
     def test_scenario_json_with_a_bad_topology(self, small_scenario, capsys, topology, named):
         meta = small_scenario / "scenario.json"

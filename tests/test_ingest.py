@@ -36,6 +36,14 @@ def test_detection_validation():
         box(0, 0, float("inf"), 1)
 
 
+def test_box_whose_area_is_not_finite_is_rejected():
+    with pytest.raises(ValueError, match="no finite area"):
+        box(0, 0, 1e308, 1e308)  # each side finite, the area overflows
+    with pytest.raises(ValueError, match="no finite area"):
+        box(-1e308, 0, 1e308, 1)  # the width overflows
+    assert box(0, 0, 2.0**500, 2.0**500).area == 2.0**1000
+
+
 def test_vehicle_class_fallback():
     assert VehicleClass.from_value(2) is VehicleClass.BUS
     assert VehicleClass.from_value("3") is VehicleClass.TRUCK

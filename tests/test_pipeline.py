@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcvt import kalman, pipeline
+from mcvt import kalman, pipeline, sct
 from mcvt.errors import ConfigError, MalformedInput, SourceMissing
 from mcvt.metrics import evaluate_identity, load_global_trajectories
 from mcvt.pipeline import (
@@ -196,6 +196,29 @@ class TestOffline:
         assert all(max(tick.values(), default=0) <= 1 for _, tick in ticks)
         # Ticks where both cameras stepped and each needed all three calls.
         assert any(n == 2 and tick == dict.fromkeys(calls, 1) for n, tick in ticks)
+
+    def test_hungarian_for_every_camera_writes_the_same_tracks(self, noisy_dir, tmp_path,
+                                                               monkeypatch):
+        # Sending every camera frame with a cost entry through the matching body
+        # must not change the output; in the plain run most frames skip it.
+        bodies = []
+        match_camera = sct._match_camera
+        monkeypatch.setattr(sct, "_match_camera",
+                            lambda *args: bodies.append(1) or match_camera(*args))
+        run(PipelineConfig(scenario_dir=str(noisy_dir), out_dir=str(tmp_path / "plain")))
+        plain = len(bodies)
+        settled = sct._settled
+
+        def unsettled_everywhere(*args):
+            feasible, unsettled = settled(*args)
+            return feasible, np.ones_like(unsettled)
+
+        monkeypatch.setattr(sct, "_settled", unsettled_everywhere)
+        bodies.clear()
+        run(PipelineConfig(scenario_dir=str(noisy_dir), out_dir=str(tmp_path / "forced")))
+        written = (tmp_path / "plain" / "global_tracks.csv").read_bytes()
+        assert written and (tmp_path / "forced" / "global_tracks.csv").read_bytes() == written
+        assert plain < len(bodies) / 2
 
     def test_sim_source_runs_in_memory(self):
         cfg = PipelineConfig(sim={

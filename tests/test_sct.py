@@ -43,6 +43,11 @@ def frame_of(camera, idx, dets, embs):
     return FrameRecord(camera, idx, list(dets), emb)
 
 
+def predicted_box(track):
+    """The track's predicted (x1, y1, x2, y2) box."""
+    return kalman.observation_to_box(*track.state.mean[:4])
+
+
 def with_gallery(track, vectors):
     for v in vectors:
         track.add_feature(v)
@@ -293,7 +298,7 @@ def reference_associate(tracks, frame, params):
     if remaining and free_dets:
         cost = np.ones((len(remaining), len(free_dets)))
         for ri, ti in enumerate(remaining):
-            x1, y1, x2, y2 = tracks[ti].predicted_box()
+            x1, y1, x2, y2 = predicted_box(tracks[ti])
             if x2 <= x1 or y2 <= y1:
                 continue
             pred = Detection(x1, y1, x2, y2, alpha=1.0)
@@ -358,7 +363,7 @@ def tracks_and_frames(draw):
         # Most detections sit near a track, half of those with its appearance.
         if tracks and draw(st.integers(0, 3)):
             track = draw(st.sampled_from(tracks))
-            x1, y1, x2, y2 = track.predicted_box()
+            x1, y1, x2, y2 = predicted_box(track)
             if x2 > x1 and y2 > y1:
                 dx, dy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
                 dets.append(Detection(x1 + dx, y1 + dy, x2 + dx, y2 + dy, 1.0))
@@ -433,6 +438,82 @@ def test_appearance_matrix_rows_are_per_track_minima():
             assert got[t, n] == pytest.approx(appearance_cost(gallery, e))
     with pytest.raises(EmptyGallery):
         appearance_matrix([E1[None], np.empty((0, 4))], embs)
+
+
+# ---------------------------------------------------------------------------
+# The tick pass: one cost build for every camera, Hungarian only where needed
+
+SHORTCUT_COSTS = [-3.0, -0.5, 0.0, 0.1, 0.3, 0.7, 1.0, 2.0, sct._INFEASIBLE, np.nan]
+
+
+@st.composite
+def cost_matrices(draw):
+    """Small cost matrices, mostly infeasible at the drawn threshold, ties and
+    entries exactly at the threshold included."""
+    shape = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    max_cost = draw(st.sampled_from([0.3, 0.7, 2.0, sct._INFEASIBLE]))
+    sparse = st.one_of(st.just(sct._INFEASIBLE), st.just(5.0), st.sampled_from(SHORTCUT_COSTS))
+    cost = np.array(draw(st.lists(sparse, min_size=shape[0] * shape[1],
+                                  max_size=shape[0] * shape[1]))).reshape(shape)
+    return cost, max_cost
+
+
+@given(cost_matrices())
+def test_settled_matrix_is_matched_to_its_feasible_entries(case):
+    cost, max_cost = case
+    rows, cols = (idx.ravel() for idx in np.indices(cost.shape))
+    feasible, unsettled = sct._settled(cost.ravel(), max_cost, rows, cols, *cost.shape)
+    assert np.array_equal(feasible, cost.ravel() <= max_cost)
+    mask = cost <= max_cost
+    conflict = (mask.sum(axis=0) > 1).any() or (mask.sum(axis=1) > 1).any()
+    in_range = np.all(np.abs(cost[mask]) <= 2.0)
+    assert unsettled.any() == bool(conflict or not in_range or np.isnan(cost).any())
+    if unsettled.any():
+        return
+    assert list(zip(rows[feasible].tolist(), cols[feasible].tolist())) == (
+        sct._min_cost_matching(cost, max_cost)
+    )
+
+
+@st.composite
+def tick_cameras(draw):
+    """1-4 cameras of tracks and one frame each, as one tick's association input."""
+    return [draw(tracks_and_frames()) for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(tick_cameras())
+def test_tick_costs_equal_the_one_camera_matrices(cameras):
+    tracks = [t for camera_tracks, _, _ in cameras for t in camera_tracks]
+    costs = sct._TickCosts(cameras, *sct._stacked_states(tracks), None)
+    for c, (camera_tracks, frame, _) in enumerate(cameras):
+        iou_block, gate, appearance = costs.blocks(c)
+        boxes = np.array([(d.x1, d.y1, d.x2, d.y2) for d in frame.detections]).reshape(-1, 4)
+        predicted = np.array([predicted_box(t) for t in camera_tracks]).reshape(-1, 4)
+        assert np.array_equal(iou_block, iou_matrix(predicted, boxes))
+        confirmed = [t for t in camera_tracks if t.status is TrackStatus.CONFIRMED]
+        assert gate.shape == appearance.shape == (len(confirmed), len(boxes))
+        if confirmed and len(boxes):
+            factors = kalman.innovation_factors(*kalman.stack_states(t.state for t in confirmed))
+            want = kalman.mahalanobis_matrix(factors, kalman.box_observations(boxes))
+            assert np.array_equal(gate, want)
+            want = appearance_matrix([t.gallery for t in confirmed], frame.embeddings)
+            assert np.array_equal(appearance, want)
+        first = costs.det_off[c]
+        assert np.array_equal(costs.observations[first : first + len(boxes)],
+                              kalman.box_observations(boxes))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_embedding_still_fails_the_step(bad):
+    tracker = SingleCameraTracker("c", fps=10.0)
+    for k in range(4):
+        tracker.step(frame_of("c", k, [det_at(100 + 2 * k, 100)], [E1]))
+    other = SingleCameraTracker("d", fps=10.0)
+    broken = E1.copy()
+    broken[0] = bad
+    with pytest.raises(ValueError, match="invalid numeric entries"):
+        step_cameras([(other, frame_of("d", 4, [], [])),
+                      (tracker, frame_of("c", 4, [det_at(108, 100)], [broken]))])
 
 
 def test_tracker_gates_each_frame_with_one_matrix(monkeypatch):

@@ -200,9 +200,10 @@ def mahalanobis_matrix(factors, measurements: np.ndarray) -> np.ndarray:
 
 
 def stack_states(states) -> tuple[np.ndarray, np.ndarray]:
-    """(T, 8) means and (T, 8, 8) covariances of T states."""
+    """(T, 8) means and (T, 8, 8) covariances of T states, T = 0 included."""
     states = list(states)
-    return np.stack([s.mean for s in states]), np.stack([s.cov for s in states])
+    means = np.array([s.mean for s in states]).reshape(-1, 8)
+    return means, np.array([s.cov for s in states]).reshape(-1, 8, 8)
 
 
 def box_observations(boxes: np.ndarray) -> np.ndarray:

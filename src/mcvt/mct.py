@@ -18,8 +18,9 @@ that have been inactive past a horizon.
 
 `build_similarity_matrix` is the one definition of the rules.  Rules 1, 2
 and 4 are numpy masks over camera-membership, time and topology arrays; the
-direction and speed rules are array expressions over the pairs the masks
-keep; the appearance term is computed for each pair that is left.
+direction and speed rules and the appearance term are array expressions over
+the pairs the masks keep.  Pairs are ordered by (t_e, t_s, tie_key), and
+clustering ranks the tie keys once to order its merges.
 
 Note on rule 3: the quadratic prior is normalized by v_max squared, the only
 scaling that makes it unitless with range [0, 1]; see README for discussion.
@@ -116,17 +117,8 @@ class Candidate:
             existing_id=identity.global_id,
         )
 
-    @property
-    def sort_key(self):
-        return (
-            self.t_e,
-            self.t_s,
-            tuple(sorted(self.cameras)),
-            tuple(sorted((t.camera, t.track_id) for t in self.tracks)),
-        )
-
-    @property
-    def tie_key(self):
+    @cached_property
+    def tie_key(self):  # distinct across candidates, since they hold disjoint tracks
         return min((t.camera, t.track_id) for t in self.tracks)
 
 
@@ -183,11 +175,12 @@ def speed_similarity(ctx: TrackPairContext, v_max: float) -> float:
 def build_similarity_matrix(tracks, topo: CameraTopology, cfg: MctConfig) -> np.ndarray:
     """Symmetric zero-diagonal matrix of rule-gated similarities.
 
-    Each pair is ordered by sort_key: the earlier candidate ends first, and
-    ties (never seen: candidates hold disjoint tracks) go to the lower index.
-    Rules 1, 2 and 4 are masks over all pairs; rules 5 and 3 are array
-    expressions over the pairs those masks keep; the appearance term is
-    computed for each pair left.  UnknownCamera is raised when a pair that
+    Each pair is ordered by (t_e, t_s, tie_key): on equal times the pairs rule
+    1 keeps differ first in their smallest camera, the tie key's.  Rules 1, 2
+    and 4 are masks over all pairs; rules 5 and 3 and the appearance term are
+    array expressions over the pairs those masks keep.  Each norm is the root
+    of a stacked (1, D) @ (D, 1) matmul: the dot that ``np.linalg.norm`` takes
+    of one vector, so the same bits.  UnknownCamera is raised when a pair that
     passes rule 1 has an earlier end camera or a later start camera that the
     topology lacks.
     """
@@ -199,7 +192,7 @@ def build_similarity_matrix(tracks, topo: CameraTopology, cfg: MctConfig) -> np.
     for i, c in enumerate(cands):
         member[i, [index[cid] for cid in c.cameras]] = 1.0
     rank = np.empty(n, dtype=int)
-    rank[sorted(range(n), key=lambda k: cands[k].sort_key)] = np.arange(n)
+    rank[sorted(range(n), key=lambda k: (cands[k].t_e, cands[k].t_s, cands[k].tie_key))] = range(n)
     t_s, t_e, lat_s, lon_s, lat_e, lon_e = np.array(
         [(c.t_s, c.t_e, c.l_s.lat, c.l_s.lon, c.l_e.lat, c.l_e.lon) for c in cands], dtype=float
     ).reshape(n, 6).T
@@ -233,10 +226,11 @@ def build_similarity_matrix(tracks, topo: CameraTopology, cfg: MctConfig) -> np.
     moving = dt > 0
     sim_v[moving] = _speed_prior(gap[moving] / dt[moving], cfg.v_max)  # rule 3: speed
 
+    embeddings = np.array([c.embedding for c in cands], ndmin=2)
+    diff = embeddings[early] - embeddings[late]
+    appearance = 1.0 - np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]) / 2.0
     matrix = np.zeros((n, n))
-    for i, j, v in zip(early.tolist(), late.tolist(), sim_v.tolist()):
-        appearance = 1.0 - np.linalg.norm(cands[i].embedding - cands[j].embedding) / 2.0
-        matrix[i, j] = matrix[j, i] = max(0.0, appearance * v)
+    matrix[early, late] = matrix[late, early] = np.maximum(0.0, appearance * sim_v)
     return matrix
 
 
@@ -249,8 +243,9 @@ def hierarchical_cluster(tracks, matrix: np.ndarray) -> list[list[int]]:
 
     Repeatedly merges the clusters of the highest-similarity positive track
     pair whose camera sets are disjoint; equal similarities fall back to the
-    lexicographically smallest (camera, track id) pair.  Returns clusters as
-    lists of indices into `tracks`, ordered by their smallest index.
+    pair of smallest tie keys, ranked once: one ``np.lexsort`` orders the pairs
+    by (-score, lower rank, higher rank).  Returns clusters as lists of
+    indices into `tracks`, ordered by their smallest index.
     """
     n = len(tracks)
     cands = [t if isinstance(t, Candidate) else Candidate.from_track(t) for t in tracks]
@@ -263,15 +258,12 @@ def hierarchical_cluster(tracks, matrix: np.ndarray) -> list[list[int]]:
             i = parent[i]
         return i
 
+    tie = np.empty(n, dtype=int)
+    tie[sorted(range(n), key=lambda k: cands[k].tie_key)] = range(n)
     rows, cols = np.nonzero(np.triu(matrix > 0.0, 1))
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    pairs.sort(
-        key=lambda ij: (
-            -matrix[ij[0], ij[1]],
-            tuple(sorted((cands[ij[0]].tie_key, cands[ij[1]].tie_key))),
-        )
-    )
-    for i, j in pairs:
+    lo, hi = np.minimum(tie[rows], tie[cols]), np.maximum(tie[rows], tie[cols])
+    order = np.lexsort((hi, lo, -matrix[rows, cols]))
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         ri, rj = find(i), find(j)
         if ri == rj or cameras[ri] & cameras[rj]:
             continue

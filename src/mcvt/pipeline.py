@@ -162,12 +162,15 @@ def _load_source(cfg: PipelineConfig):
 
 
 def _prepare(frame: FrameRecord, cfg: PipelineConfig) -> FrameRecord:
-    """The frame's detections of confidence >= alpha_min, embeddings kept aligned."""
-    return frame.select(filter_confidence_indices(frame.detections, cfg.alpha_min))
+    """The frame's detections of confidence >= alpha_min, embeddings kept aligned:
+    the frame itself when every detection passes."""
+    kept = filter_confidence_indices(frame.detections, cfg.alpha_min)
+    return frame if len(kept) == len(frame.detections) else frame.select(kept)
 
 
 def _embed(frames: list[FrameRecord], embeddings, dim: int) -> list[FrameRecord]:
-    """The tick's records with the provider's arrays, of width ``dim`` and one row per detection."""
+    """The tick's records with the provider's arrays: of width ``dim``, one
+    finite unit row (``simkit.first_non_unit_row``) per detection."""
     embedded = []
     try:
         for record, emb in zip(frames, embeddings, strict=True):
@@ -179,6 +182,13 @@ def _embed(frames: list[FrameRecord], embeddings, dim: int) -> list[FrameRecord]
     except ValueError as exc:  # a wrong width or row count, or not one array per record
         where = f"camera {frames[len(embedded)].camera}" if len(embedded) < len(frames) else "tick"
         raise MalformedInput(f"{where}: provider output does not fit its frames: {exc}") from None
+    carried = [record for record in embedded if record.embeddings is not None]
+    rows = [record.embeddings for record in carried]
+    bad = simkit.first_non_unit_row(np.concatenate(rows)) if rows else None
+    if bad is not None:
+        record = carried[np.searchsorted(np.cumsum([len(r) for r in rows]), bad[0], side="right")]
+        raise MalformedInput(f"camera {record.camera}: provider row of frame {record.frame_index} "
+                             f"is not a finite unit vector (norm {bad[1]})")
     return embedded
 
 

@@ -186,12 +186,6 @@ def _offsets(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
-def _stacked_states(tracks: list[SCTrack]) -> tuple[np.ndarray, np.ndarray]:
-    if not tracks:
-        return np.empty((0, 8)), np.empty((0, 8, 8))
-    return kalman.stack_states(track.state for track in tracks)
-
-
 class _TickCosts:
     """The association costs of one tick's cameras, built in one pass.
 
@@ -205,11 +199,9 @@ class _TickCosts:
     distinct detection count: tracks are stacked, never padded, so each entry
     equals the one-camera matrix's.  The appearance takes one
     ``appearance_matrix`` per camera, of the same shape as a one-camera call.
-    ``gating`` is the ``kalman.innovation_factors`` pair of the confirmed
-    tracks of the cameras with detections, or None to compute it here.
     """
 
-    def __init__(self, cameras, means: np.ndarray, covs: np.ndarray, gating):
+    def __init__(self, cameras, means: np.ndarray, covs: np.ndarray):
         for _, frame, _ in cameras:
             if frame.detections and frame.embeddings is None:
                 raise ValueError("frame detections must carry embeddings for association")
@@ -247,8 +239,7 @@ class _TickCosts:
         gated = np.flatnonzero(confirmed & (self.n_dets > 0)[self.track_cam])
         self.gate = np.empty(len(self.conf_track))
         if len(gated):
-            if gating is None:
-                gating = kalman.innovation_factors(means[gated], covs[gated])
+            gating = kalman.innovation_factors(means[gated], covs[gated])
             counts = self.n_dets[self.track_cam[gated]]
             starts = _offsets(counts)
             for n in np.unique(counts).tolist():
@@ -316,7 +307,7 @@ def _match_camera(tracks: list[SCTrack], iou, gate, appearance, params: TrackerP
     return matches
 
 
-def _associate_tick(cameras, means: np.ndarray, covs: np.ndarray, gating):
+def _associate_tick(cameras, means: np.ndarray, covs: np.ndarray):
     """Two-stage association of every camera of a tick in one pass.
 
     Builds the tick's ``_TickCosts`` from the arguments, then decides both
@@ -332,7 +323,7 @@ def _associate_tick(cameras, means: np.ndarray, covs: np.ndarray, gating):
     Returns (costs, tracks, detections): the matched pairs, numbered across
     the tick, sorted by track.
     """
-    costs = _TickCosts(cameras, means, covs, gating)
+    costs = _TickCosts(cameras, means, covs)
     n_tracks, n_dets = costs.track_off[-1], costs.det_off[-1]
     thresholds = np.array(
         [(p.gating_threshold, p.matching_threshold, p.iou_max_cost) for _, _, p in cameras]
@@ -376,7 +367,6 @@ def associate(
     tracks: list[SCTrack],
     frame: FrameRecord,
     params: TrackerParams | None = None,
-    gating=None,
 ):
     """Two-stage detection-to-track association for one frame.
 
@@ -384,14 +374,13 @@ def associate(
     runs the matching cascade over confirmed tracks grouped by ascending
     time_since_update: appearance cost with Mahalanobis gating, Hungarian per
     group.  Stage 2 matches all remaining tracks (tentative included) to
-    remaining detections by IoU cost.  ``gating`` is the
-    ``kalman.innovation_factors`` pair of the confirmed tracks, in track
-    order; by default it is computed here.  Returns
+    remaining detections by IoU cost.  Returns
     (matches, unmatched_track_indices, unmatched_detection_indices) with
     matches as (track_index, detection_index) pairs.
     """
     params = params or TrackerParams()
-    _, matched, dets = _associate_tick([(tracks, frame, params)], *_stacked_states(tracks), gating)
+    states = kalman.stack_states(track.state for track in tracks)
+    _, matched, dets = _associate_tick([(tracks, frame, params)], *states)
     matched, dets = matched.tolist(), dets.tolist()
     taken = set(matched)
     return (
@@ -558,7 +547,7 @@ def step_cameras(
         tracker._last_frame = frame.frame_index
 
     live = [track for tracker in trackers for track in tracker.tracks]
-    means, covs = _stacked_states(live)
+    means, covs = kalman.stack_states(track.state for track in live)
     if live:
         means, covs = kalman.predict_many(means, covs)
         for track, mean, cov in zip(live, means, covs):
@@ -566,7 +555,7 @@ def step_cameras(
             track.time_since_update += 1
 
     costs, matched, dets = _associate_tick(
-        [(tracker.tracks, frame, tracker.params) for tracker, frame in pairs], means, covs, None
+        [(tracker.tracks, frame, tracker.params) for tracker, frame in pairs], means, covs
     )
     track_cam, det_off = costs.track_cam.tolist(), costs.det_off.tolist()
     if len(matched):

@@ -483,6 +483,14 @@ def write_scenario_dir(
         write_embeddings(outdir / f"emb_{cid}.bin", stacked)
 
 
+def first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
+    """(index, norm) of the first row that is not a finite unit vector (norm
+    within UNIT_ROW_TOLERANCE of 1), or None when every row is one."""
+    norms = np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_ROW_TOLERANCE))
+    return (int(bad[0]), float(norms[bad[0]])) if len(bad) else None
+
+
 def load_scenario(outdir) -> Scenario:
     """The scenario.json of a scenario directory; one that does not describe a
     scenario (its JSON, a field, a setting or the topology) raises MalformedInput
@@ -523,11 +531,10 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
             raise MalformedInput(
                 f"{emb_path}: embedding dimension {emb.shape[1]}, expected {scenario.embed_dim}"
             )
-        norms = np.linalg.norm(emb, axis=1)
-        not_unit = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_ROW_TOLERANCE))
-        if len(not_unit):
-            raise MalformedInput(f"{emb_path}: row {not_unit[0]} is not a finite unit vector "
-                                 f"(norm {norms[not_unit[0]]})")
+        bad = first_non_unit_row(emb)
+        if bad is not None:
+            raise MalformedInput(f"{emb_path}: row {bad[0]} is not a finite unit vector "
+                                 f"(norm {bad[1]})")
         n_dets = sum(map(len, frames.values()))
         if n_dets != emb.shape[0]:
             raise MalformedInput(

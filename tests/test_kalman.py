@@ -233,6 +233,11 @@ def filter_states(draw):
 state_stacks = st.lists(filter_states(), min_size=1, max_size=40)
 
 
+def test_stack_states_of_no_state_has_the_stacked_shapes():
+    means, covs = kalman.stack_states([])
+    assert means.shape == (0, 8) and covs.shape == (0, 8, 8)
+
+
 @given(state_stacks)
 def test_predict_many_equals_reference(states):
     means, covs = kalman.predict_many(*kalman.stack_states(states))

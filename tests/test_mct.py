@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mcvt.errors import NonPositiveDt, UnknownCamera
@@ -366,11 +366,17 @@ def direction_consistent(earlier, later) -> bool:
     )
 
 
+def time_order_key(c: Candidate):
+    """The reference's order of a pair: end, start, sorted cameras, sorted member keys."""
+    return (c.t_e, c.t_s, tuple(sorted(c.cameras)),
+            tuple(sorted((t.camera, t.track_id) for t in c.tracks)))
+
+
 def candidate_similarity(a: Candidate, b: Candidate, topo, cfg: MctConfig) -> float:
     """Rule-gated appearance similarity between two clustering candidates."""
     if a.cameras & b.cameras:
         return 0.0  # rule 1: camera exclusivity
-    earlier, later = (a, b) if a.sort_key <= b.sort_key else (b, a)
+    earlier, later = (a, b) if time_order_key(a) <= time_order_key(b) else (b, a)
     dt = later.t_s - earlier.t_e
     views_overlap = are_overlapping(topo, earlier.end_camera, later.start_camera)
     if dt <= 0 and not views_overlap:
@@ -439,6 +445,16 @@ def grid_topologies(draw):
 
 
 @st.composite
+def embedding_palettes(draw):
+    """Four unit embeddings: the fixed EMBEDDINGS, or D-wide normal draws scaled to unit rows."""
+    if draw(st.booleans()):
+        return EMBEDDINGS
+    dim = draw(st.sampled_from((4, 64, 128, 2048)))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(4, dim))
+    return tuple(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+@st.composite
 def similarity_cases(draw):
     """(candidates, topology, config) on a two-row grid of six cameras.
 
@@ -447,9 +463,11 @@ def similarity_cases(draw):
     runs of single tracks and multi-member identities, so many pairs pass
     every rule.  Integer times make equal t_e values and touching or
     overlapping intervals common.  Unrelated tracks are mixed in, now and
-    then on a camera the topology lacks.
+    then on a camera the topology lacks.  Embeddings come from one palette
+    per case (`embedding_palettes`).
     """
     topo = draw(grid_topologies())
+    palette = draw(embedding_palettes())
     cfg = MctConfig(use_adjacency=draw(st.booleans()), use_direction=draw(st.booleans()))
     ids = iter(range(1, 100))
     cands = []
@@ -462,7 +480,7 @@ def similarity_cases(draw):
         ux, uy = (x1 - x0) / length, (y1 - y0) / length
         lane = draw(st.sampled_from((-3.5, 0.0, 3.5)))
         t0, gap = draw(st.integers(0, 20)), draw(st.sampled_from((-3, 0, 3, 9, 15)))
-        emb = draw(st.sampled_from(EMBEDDINGS))
+        emb = draw(st.sampled_from(palette))
         run: list = []
         for k, camera in enumerate(route):
             if not draw(st.booleans()):
@@ -488,7 +506,7 @@ def similarity_cases(draw):
         cands.append(cand(grid_track(
             camera, next(ids), t_s, t_s + draw(st.integers(0, 8)),
             (x + draw(offsets), y + draw(offsets)), (x + draw(offsets), y + draw(offsets)),
-            draw(st.sampled_from(EMBEDDINGS)),
+            draw(st.sampled_from(palette)),
         )))
     return draw(st.permutations(cands)), topo, cfg
 
@@ -561,6 +579,34 @@ def test_single_linkage_on_chains_keeps_its_invariants(case):
     tracks, matrix = case
     assert_single_linkage([{t.camera} for t in tracks], matrix,
                           hierarchical_cluster(tracks, matrix))
+
+
+def reference_cluster(tracks, matrix):
+    """Single linkage over the positive pairs of one-track candidates, sorted
+    by (-score, sorted pair of (camera, track id)) and merged in that order
+    when their clusters hold no camera in common."""
+    keys = [(t.camera, t.track_id) for t in tracks]
+    pairs = [(i, j) for i in range(len(tracks)) for j in range(i + 1, len(tracks))
+             if matrix[i, j] > 0]
+    pairs.sort(key=lambda ij: (-matrix[ij], tuple(sorted((keys[ij[0]], keys[ij[1]])))))
+    clusters = [{i} for i in range(len(tracks))]
+    for i, j in pairs:
+        a, b = (next(c for c in clusters if k in c) for k in (i, j))
+        if a is not b and not {keys[k][0] for k in a} & {keys[k][0] for k in b}:
+            a |= b
+            clusters.remove(b)
+    return sorted(sorted(c) for c in clusters)
+
+
+# After B3-C6 merge, A4-C6 and B3-A10 tie at 0.5: the pair of the smaller
+# tie keys, (A, 4) before (A, 10), merges and leaves A10 alone.
+@example(([ct("B", 3, 0, 6, 0, 60), ct("C", 6, 0, 6, 0, 60), ct("A", 4, 0, 6, 0, 60),
+           ct("A", 10, 0, 6, 0, 60)],
+          np.array([[0, 0.9, 0, 0.5], [0.9, 0, 0.5, 0], [0, 0.5, 0, 0], [0.5, 0, 0, 0]])))
+@given(chain_cases())
+def test_cluster_merges_in_score_then_tie_key_order(case):
+    tracks, matrix = case
+    assert hierarchical_cluster(tracks, matrix) == reference_cluster(tracks, matrix)
 
 
 @given(similarity_cases())

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mcvt import kalman, pipeline, sct
 from mcvt.errors import ConfigError, MalformedInput, SourceMissing
+from mcvt.ingest import Detection, FrameRecord, VehicleClass
 from mcvt.metrics import evaluate_identity, load_global_trajectories
 from mcvt.pipeline import (
     QUEUE_SECONDS,
@@ -133,6 +134,15 @@ class TestConfig:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(bad)
+
+
+def test_prepare_builds_a_record_only_when_the_filter_drops_a_detection():
+    dets = [Detection(0, 0, 10, 10, 0.9, VehicleClass.CAR),
+            Detection(20, 0, 30, 10, 0.4, VehicleClass.CAR)]
+    frame = FrameRecord("c001", 0, dets, np.eye(2, 4))
+    assert pipeline._prepare(frame, PipelineConfig(scenario_dir="d", alpha_min=0.4)) is frame
+    kept = pipeline._prepare(frame, PipelineConfig(scenario_dir="d", alpha_min=0.5))
+    assert kept.detections == dets[:1] and np.array_equal(kept.embeddings, np.eye(2, 4)[:1])
 
 
 class TestOffline:
@@ -273,6 +283,22 @@ class TestOffline:
                     else frame.embeddings for frame in frames]
 
         with pytest.raises(MalformedInput, match=r"camera c002: .* \(\d+, 32\), rows of width 64"):
+            run(PipelineConfig(scenario_dir=str(scenario_dir)), provider=provider)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rows: np.where(np.arange(rows.shape[1]) == 3, np.nan, rows),
+        lambda rows: np.where(np.arange(rows.shape[1]) == 0, np.inf, rows),
+        lambda rows: rows * 100.0,
+        np.zeros_like,
+    ], ids=["nan", "inf", "scaled-by-100", "zeros"])
+    def test_provider_row_that_is_not_a_finite_unit_vector_names_the_camera(self, scenario_dir,
+                                                                           corrupt):
+        def provider(frames):
+            return [corrupt(frame.embeddings) if frame.camera == "c002" and frame.detections
+                    else frame.embeddings for frame in frames]
+
+        with pytest.raises(MalformedInput, match="camera c002: provider row of frame .* is not "
+                                                 "a finite unit vector"):
             run(PipelineConfig(scenario_dir=str(scenario_dir)), provider=provider)
 
     def test_scorer_of_another_width_fails_before_the_first_tick(self, scenario_dir, tmp_path):

@@ -484,7 +484,7 @@ def tick_cameras(draw):
 @given(tick_cameras())
 def test_tick_costs_equal_the_one_camera_matrices(cameras):
     tracks = [t for camera_tracks, _, _ in cameras for t in camera_tracks]
-    costs = sct._TickCosts(cameras, *sct._stacked_states(tracks), None)
+    costs = sct._TickCosts(cameras, *kalman.stack_states(t.state for t in tracks))
     for c, (camera_tracks, frame, _) in enumerate(cameras):
         iou_block, gate, appearance = costs.blocks(c)
         boxes = np.array([(d.x1, d.y1, d.x2, d.y2) for d in frame.detections]).reshape(-1, 4)
@@ -638,25 +638,13 @@ def camera_ticks(draw):
     return n_cams, params, ticks
 
 
-def gating_checked_associate(tracks, frame, params=None, gating=None):
-    """``associate``, asserting that a camera's gating rows are its confirmed tracks'."""
-    confirmed = [t.state for t in tracks if t.status is TrackStatus.CONFIRMED]
-    if confirmed and frame.detections:
-        want = kalman.innovation_factors(*kalman.stack_states(confirmed))
-        assert gating is not None
-        assert all(np.array_equal(g, w) for g, w in zip(gating, want))
-    return associate(tracks, frame, params, gating)
-
-
 @given(camera_ticks())
 def test_step_cameras_equals_one_camera_at_a_time(case):
     n_cams, params, ticks = case
     batched = [SingleCameraTracker(f"c{c}", 10.0, params=params) for c in range(n_cams)]
     alone = copy.deepcopy(batched)
     for tick in ticks:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sct, "associate", gating_checked_associate)
-            got = step_cameras([(batched[c], frame) for c, frame in tick])
+        got = step_cameras([(batched[c], frame) for c, frame in tick])
         for (c, frame), (tracks, concluded) in zip(tick, got):
             want_tracks, want_concluded = reference_step(alone[c], frame)
             assert_same_tracks(tracks, want_tracks)

@@ -6,8 +6,9 @@ key; multi-camera evaluation scores the union of per-camera frames with
 global ids.  Boxes match when IoU >= 0.5 (MOTChallenge convention).
 
 The identity metrics follow the truth-to-result matching of Ristani et al.:
-a min-cost bipartite assignment between ground-truth and predicted ids over
-the whole sequence, with per-frame miss counts as costs.
+a bipartite assignment between ground-truth and predicted ids over the whole
+sequence that minimizes the per-frame misses, which is the one that maximizes
+the frames where paired ids' boxes match.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ def _match_frame(
     free_pred = sorted(p for p in pred_ids if p not in used_pred)
     if free_gt and free_pred:
         cost = np.array([[1.0 - ious[gid, pid] for pid in free_pred] for gid in free_gt])
-        rows, cols = linear_sum_assignment(cost)
+        # A pair with IoU below the threshold costs 1e5, as an infeasible pair
+        # does in the tracker, so no valid match is given up to lower the
+        # total 1 - IoU.
+        rows, cols = linear_sum_assignment(np.where(cost > 1.0 - thresh, 1e5, cost))
         for i, j in zip(rows, cols):
             if cost[i, j] <= 1.0 - thresh:
                 matches[free_gt[i]] = free_pred[j]
@@ -153,28 +157,18 @@ def evaluate_identity(
 def _identity_counts(gt: TrajectorySet, pred: TrajectorySet, pair_overlap: dict):
     """Identity counts; ``pair_overlap`` maps a (ground truth, prediction) id
     pair to the number of camera frames where their boxes match."""
-    gt_ids, pred_ids = sorted(gt), sorted(pred)
-    n_gt, n_pred = len(gt_ids), len(pred_ids)
-    gt_lens = np.array([len(gt[g]) for g in gt_ids], dtype=int)
-    pred_lens = np.array([len(pred[p]) for p in pred_ids], dtype=int)
-    total_gt, total_pred = int(gt_lens.sum()), int(pred_lens.sum())
-
-    gt_index = {g: i for i, g in enumerate(gt_ids)}
-    pred_index = {p: j for j, p in enumerate(pred_ids)}
-    overlap = np.zeros((n_gt, n_pred), dtype=int)
+    total_gt = sum(len(entries) for entries in gt.values())
+    total_pred = sum(len(entries) for entries in pred.values())
+    gt_index = {g: i for i, g in enumerate(gt)}
+    pred_index = {p: j for j, p in enumerate(pred)}
+    overlap = np.zeros((len(gt), len(pred)), dtype=int)
     for (g, p), count in pair_overlap.items():
         overlap[gt_index[g], pred_index[p]] = count
 
-    # (n_gt + n_pred) x (n_pred + n_gt) assignment: real pairs top-left,
-    # per-id dummies on the diagonals, zero cost in the spillover block.
-    cost = np.full((n_gt + n_pred, n_pred + n_gt), float(total_gt + total_pred + 1))
-    cost[:n_gt, :n_pred] = gt_lens[:, None] + pred_lens[None, :] - 2 * overlap
-    cost[np.arange(n_gt), n_pred + np.arange(n_gt)] = gt_lens
-    cost[n_gt + np.arange(n_pred), np.arange(n_pred)] = pred_lens
-    cost[n_gt:, n_pred:] = 0.0
-
-    rows, cols = linear_sum_assignment(cost)
-    idtp = sum(int(overlap[r, c]) for r, c in zip(rows, cols) if r < n_gt and c < n_pred)
+    # Ristani et al.'s padded min-cost problem costs total_gt + total_pred -
+    # 2 IDTP, so its optimum is the largest total overlap of one-to-one pairs.
+    rows, cols = linear_sum_assignment(overlap, maximize=True)
+    idtp = int(overlap[rows, cols].sum())
     idp = idtp / total_pred if total_pred else 0.0
     idr = idtp / total_gt if total_gt else 0.0
     idf1 = 2 * idtp / (total_gt + total_pred) if total_gt + total_pred else 0.0

@@ -16,14 +16,14 @@ one ``box_observations`` for every detection of the tick, the predicted boxes
 from the stacked means, one element-wise IoU over every same-camera (track,
 detection) pair, one Cholesky over the confirmed tracks that meet detections
 with one Mahalanobis solve per distinct detection count, and one appearance
-matrix per camera.  It then decides most cameras from the feasibility masks
-alone (``_settled``): where every track has at most one feasible detection
-and every detection at most one feasible track, in the cascade and in the
-IoU stage, Hungarian would return exactly the feasible pairs, because
-infeasible entries cost 1e5 and feasible ones lie in [-2, 2].  Only a camera
-whose feasible pairs conflict, or that holds a NaN cost, runs the DeepSORT
-cascade of Hungarian matchings and then the IoU stage (``_match_camera``),
-on its blocks of the tick's costs.  ``associate`` and
+matrix per camera.  It then decides each stage, the cascade and then the
+IoU stage, for most cameras from the feasibility masks alone (``_settled``):
+where every track has at most one feasible detection and every detection at
+most one feasible track, Hungarian would return exactly the feasible pairs,
+because infeasible entries cost 1e5 and feasible ones lie in [-2, 2].  Only
+a camera whose feasible pairs of a stage conflict, or that holds a NaN cost
+there, runs Hungarian for that stage (``_match_free``): one matching per
+cascade group, or one for its IoU stage.  ``associate`` and
 ``SingleCameraTracker.step`` are the one-camera forms.  A track keeps its
 frame-level features in one growing array; its gallery is a view of the last
 ``gallery_budget`` rows.
@@ -268,60 +268,37 @@ class _TickCosts:
         )
 
 
-def _match_camera(tracks: list[SCTrack], iou, gate, appearance, params: TrackerParams):
-    """Hungarian matching of one camera frame on its blocks of the tick's costs.
+def _match_free(det_of, free, rows, cost, max_cost: float, det_off: int) -> None:
+    """Hungarian of the rows' costs over their free columns, written into ``det_of``.
 
-    Stage 1 runs the matching cascade over confirmed tracks grouped by
-    ascending time_since_update: appearance cost with gated-out entries
-    infeasible, Hungarian per group.  Stage 2 matches all remaining tracks
-    (tentative included) to remaining detections by 1 - IoU.  Each cascade
-    group and the IoU stage match their rows over the columns a mask still
-    marks free.  Returns the matches as (track_index, detection_index) pairs.
-    """
-    confirmed = [i for i, t in enumerate(tracks) if t.status is TrackStatus.CONFIRMED]
-    others = [i for i, t in enumerate(tracks) if t.status is not TrackStatus.CONFIRMED]
-    n_det = iou.shape[1]
-    matches: list[tuple[int, int]] = []
-    free = np.ones(n_det, dtype=bool)
-
-    def match(rows: list[int], cost: np.ndarray, max_cost: float) -> None:
-        """Hungarian of the rows' costs over the free detections, then take the matched ones."""
-        cols = free.nonzero()[0]
-        for r, c in _min_cost_matching(cost[:, cols], max_cost):
-            matches.append((rows[r], int(cols[c])))
-            free[cols[c]] = False
-
-    # Stage 1: appearance cascade, youngest miss-age first.
-    if confirmed and n_det:
-        cost = np.where(gate > params.gating_threshold, _INFEASIBLE, appearance)
-        ages = np.array([tracks[i].time_since_update for i in confirmed])
-        for age in np.unique(ages):
-            group = np.flatnonzero(ages == age)
-            match([confirmed[g] for g in group], cost[group], params.matching_threshold)
-
-    # Stage 2: IoU assignment for everything left, tentative tracks included.
-    matched_tracks = {t for t, _ in matches}
-    remaining = [i for i in confirmed if i not in matched_tracks] + others
-    if remaining and free.any():
-        match(remaining, 1.0 - iou[remaining], params.iou_max_cost)
-    return matches
+    Row r of ``cost`` is track rows[r] and column j is detection det_off + j of
+    the tick; ``free`` flags the tick's unmatched detections."""
+    cols = np.flatnonzero(free[det_off : det_off + cost.shape[1]])
+    for r, j in _min_cost_matching(cost[:, cols], max_cost):
+        det_of[rows[r]] = det_off + cols[j]
+        free[det_off + cols[j]] = False
 
 
 def _associate_tick(cameras, means: np.ndarray, covs: np.ndarray):
     """Two-stage association of every camera of a tick in one pass.
 
-    Builds the tick's ``_TickCosts`` from the arguments, then decides both
-    stages for every camera at once from the feasibility masks (``_settled``),
-    each camera with its own ``TrackerParams``: the cascade's feasible pairs
-    have an appearance cost <= matching_threshold and a gate <=
-    gating_threshold; the IoU stage's have 1 - IoU <= iou_max_cost between a
-    track and a detection that the cascade left unmatched.  A camera none of
-    whose entries is unsettled takes exactly its feasible pairs of both
-    stages, which is what Hungarian would return, group by group: no
-    detection is feasible for two tracks, so no cascade group takes another's
-    column.  Every other camera goes through ``_match_camera`` on its blocks.
-    Returns (costs, tracks, detections): the matched pairs, numbered across
-    the tick, sorted by track.
+    Builds the tick's ``_TickCosts`` from the arguments, then decides each
+    stage for every camera at once, each camera with its own
+    ``TrackerParams``: first the cascade, whose feasible pairs have an
+    appearance cost <= matching_threshold and a gate <= gating_threshold,
+    then the IoU stage, whose feasible pairs have 1 - IoU <= iou_max_cost
+    between a track and a detection that the cascade left unmatched.  A
+    camera with no unsettled entry in a stage (``_settled``) takes exactly
+    that stage's feasible pairs, which is what Hungarian would return, group
+    by group: no detection is feasible for two tracks, so no cascade group
+    takes another's column.  Every other camera runs Hungarian for that stage
+    alone (``_match_free``), on its rows in DeepSORT's order over its free
+    detections in ascending order: one matching per cascade group of
+    confirmed tracks, by ascending time_since_update; in the IoU stage, its
+    unmatched confirmed tracks and then its tentative ones.  Returns (costs,
+    det_of, free): the detection matched to each track of the tick (-1 if
+    none) and a mask of the unmatched detections, both numbered across the
+    tick.
     """
     costs = _TickCosts(cameras, means, covs)
     n_tracks, n_dets = costs.track_off[-1], costs.det_off[-1]
@@ -329,38 +306,40 @@ def _associate_tick(cameras, means: np.ndarray, covs: np.ndarray):
         [(p.gating_threshold, p.matching_threshold, p.iou_max_cost) for _, _, p in cameras]
     ).reshape(-1, 3)
     gate_max, match_max, iou_max = thresholds.T
+    det_of = np.full(n_tracks, -1, dtype=np.int64)
+    free = np.ones(n_dets, dtype=bool)
 
-    cascade = np.where(costs.gate > gate_max[costs.conf_cam], _INFEASIBLE, costs.appearance)
-    first, unsettled_first = _settled(
-        cascade, match_max[costs.conf_cam], costs.conf_track, costs.conf_det, n_tracks, n_dets
-    )
-    taken_tracks = np.zeros(n_tracks, dtype=bool)
-    taken_tracks[costs.conf_track[first]] = True
-    taken_dets = np.zeros(n_dets, dtype=bool)
-    taken_dets[costs.conf_det[first]] = True
-    left = taken_tracks[costs.pair_track] | taken_dets[costs.pair_det]
-    second, unsettled_second = _settled(
-        np.where(left, np.inf, 1.0 - costs.iou), iou_max[costs.pair_cam],
-        costs.pair_track, costs.pair_det, n_tracks, n_dets,
-    )
+    def stage(cost, max_cost, rows, cols, cams, off, groups) -> None:
+        """Match one stage, entries numbered camera by camera from ``off``,
+        track-major; ``groups(c, tracks)`` orders camera c's block rows."""
+        feasible, unsettled = _settled(cost, max_cost[cams], rows, cols, n_tracks, n_dets)
+        conflicted = np.zeros(len(cameras), dtype=bool)
+        conflicted[cams[unsettled]] = True
+        feasible &= ~conflicted[cams]
+        det_of[rows[feasible]] = cols[feasible]
+        free[cols[feasible]] = False
+        for c in np.flatnonzero(conflicted).tolist():
+            entries, n = slice(off[c], off[c + 1]), costs.n_dets[c]
+            block, tracks = cost[entries].reshape(-1, n), rows[entries][::n]
+            for g in groups(c, tracks):
+                _match_free(det_of, free, tracks[g], block[g], max_cost[c], costs.det_off[c])
 
-    hungarian = np.zeros(len(cameras), dtype=bool)
-    hungarian[costs.conf_cam[unsettled_first]] = True
-    hungarian[costs.pair_cam[unsettled_second]] = True
-    first &= ~hungarian[costs.conf_cam]
-    second &= ~hungarian[costs.pair_cam]
-    tracks = [costs.conf_track[first], costs.pair_track[second]]
-    dets = [costs.conf_det[first], costs.pair_det[second]]
-    for c in np.flatnonzero(hungarian).tolist():
-        camera_tracks, _, params = cameras[c]
-        matches = _match_camera(camera_tracks, *costs.blocks(c), params)
-        if matches:
-            matched = np.array(matches)
-            tracks.append(matched[:, 0] + costs.track_off[c])
-            dets.append(matched[:, 1] + costs.det_off[c])
-    tracks, dets = np.concatenate(tracks), np.concatenate(dets)
-    order = np.argsort(tracks)
-    return costs, tracks[order], dets[order]
+    def cascade_groups(c, tracks):
+        ages = np.array([cameras[c][0][t].time_since_update for t in tracks - costs.track_off[c]])
+        return [np.flatnonzero(ages == age) for age in np.unique(ages)]
+
+    def iou_groups(c, tracks):
+        confirmed = np.array([t.status is TrackStatus.CONFIRMED for t in cameras[c][0]])
+        return [np.concatenate((np.flatnonzero(confirmed & (det_of[tracks] < 0)),
+                                np.flatnonzero(~confirmed)))]
+
+    stage(np.where(costs.gate > gate_max[costs.conf_cam], _INFEASIBLE, costs.appearance),
+          match_max, costs.conf_track, costs.conf_det, costs.conf_cam, costs.conf_off,
+          cascade_groups)
+    left = (det_of >= 0)[costs.pair_track] | ~free[costs.pair_det]
+    stage(np.where(left, np.inf, 1.0 - costs.iou), iou_max, costs.pair_track, costs.pair_det,
+          costs.pair_cam, costs.pair_off, iou_groups)
+    return costs, det_of, free
 
 
 def associate(
@@ -380,13 +359,12 @@ def associate(
     """
     params = params or TrackerParams()
     states = kalman.stack_states(track.state for track in tracks)
-    _, matched, dets = _associate_tick([(tracks, frame, params)], *states)
-    matched, dets = matched.tolist(), dets.tolist()
-    taken = set(matched)
+    _, det_of, free = _associate_tick([(tracks, frame, params)], *states)
+    matched = np.flatnonzero(det_of >= 0).tolist()
     return (
-        list(zip(matched, dets)),
-        [i for i in range(len(tracks)) if i not in taken],
-        np.setdiff1d(np.arange(len(frame.detections)), dets).tolist(),
+        list(zip(matched, det_of[matched].tolist())),
+        np.flatnonzero(det_of < 0).tolist(),
+        np.flatnonzero(free).tolist(),
     )
 
 
@@ -532,7 +510,7 @@ def step_cameras(
     over every live track of every camera, and one tick pass
     (``_associate_tick``) matches every camera: one ``innovation_factors``
     over the confirmed tracks of the cameras whose frame has detections, one
-    IoU over every same-camera pair, and Hungarian only for the cameras whose
+    IoU over every same-camera pair, and Hungarian only for the stages whose
     feasible pairs conflict.  One stacked ``kalman.update_many`` then updates
     every matched track of every camera from the tick's box observations
     before each camera's lifecycle runs.  Returns one (active tracks,
@@ -554,9 +532,12 @@ def step_cameras(
             track.state = KalmanState(mean=mean, cov=cov)
             track.time_since_update += 1
 
-    costs, matched, dets = _associate_tick(
+    costs, det_of, is_free = _associate_tick(
         [(tracker.tracks, frame, tracker.params) for tracker, frame in pairs], means, covs
     )
+    is_matched = det_of >= 0
+    matched = np.flatnonzero(is_matched)
+    dets = det_of[matched]
     track_cam, det_off = costs.track_cam.tolist(), costs.det_off.tolist()
     if len(matched):
         means, covs = kalman.update_many(means[matched], covs[matched], costs.observations[dets])
@@ -565,10 +546,6 @@ def step_cameras(
             live[ti].state = KalmanState(mean=mean, cov=cov)
             tracker._record_match(live[ti], frame, di - det_off[track_cam[ti]])
 
-    is_matched = np.zeros(len(live), dtype=bool)
-    is_matched[matched] = True
-    is_free = np.ones(det_off[-1], dtype=bool)
-    is_free[dets] = False
     track_off = costs.track_off.tolist()
     return [
         tracker._close_step(

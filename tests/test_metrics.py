@@ -119,6 +119,17 @@ def test_iou_threshold_boundary():
     assert (s.fp, s.fn) == (1, 1)
 
 
+def test_frame_keeps_its_valid_match_over_a_cheaper_invalid_assignment():
+    # IoUs: (1, 3) 11/23, (2, 3) 0.6, (2, 4) 4/32, (1, 4) 0.  The pairing
+    # {(1, 3), (2, 4)} has the smaller total 1 - IoU but no valid pair.
+    gt = {1: [("c", 0, Detection(13, 0, 24, 10, 1.0))],
+          2: [("c", 0, Detection(6, 0, 31, 10, 1.0))]}
+    pred = {3: [("c", 0, Detection(1, 0, 24, 10, 1.0))],
+            4: [("c", 0, Detection(27, 0, 38, 10, 1.0))]}
+    s = evaluate_mota(gt, pred)
+    assert (s.fp, s.fn, s.mota) == (1, 1, 0.0)
+
+
 def test_duplicate_id_in_frame_rejected():
     bad = {1: [("c", 0, box(0.0)), ("c", 0, box(30.0))]}
     with pytest.raises(ValueError):

@@ -209,14 +209,14 @@ class TestOffline:
 
     def test_hungarian_for_every_camera_writes_the_same_tracks(self, noisy_dir, tmp_path,
                                                                monkeypatch):
-        # Sending every camera frame with a cost entry through the matching body
-        # must not change the output; in the plain run most frames skip it.
-        bodies = []
-        match_camera = sct._match_camera
-        monkeypatch.setattr(sct, "_match_camera",
-                            lambda *args: bodies.append(1) or match_camera(*args))
+        # Running Hungarian for every stage of every camera frame with a cost
+        # entry must not change the output; the plain run needs it far less.
+        calls = []
+        solve = sct.linear_sum_assignment
+        monkeypatch.setattr(sct, "linear_sum_assignment",
+                            lambda cost: calls.append(1) or solve(cost))
         run(PipelineConfig(scenario_dir=str(noisy_dir), out_dir=str(tmp_path / "plain")))
-        plain = len(bodies)
+        plain = len(calls)
         settled = sct._settled
 
         def unsettled_everywhere(*args):
@@ -224,11 +224,11 @@ class TestOffline:
             return feasible, np.ones_like(unsettled)
 
         monkeypatch.setattr(sct, "_settled", unsettled_everywhere)
-        bodies.clear()
+        calls.clear()
         run(PipelineConfig(scenario_dir=str(noisy_dir), out_dir=str(tmp_path / "forced")))
         written = (tmp_path / "plain" / "global_tracks.csv").read_bytes()
         assert written and (tmp_path / "forced" / "global_tracks.csv").read_bytes() == written
-        assert plain < len(bodies) / 2
+        assert plain < len(calls) / 2
 
     def test_sim_source_runs_in_memory(self):
         cfg = PipelineConfig(sim={

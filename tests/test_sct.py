@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from test_kalman import reference_predict, reference_project, reference_update, squared_mahalanobis
 
@@ -375,10 +375,35 @@ def tracks_and_frames(draw):
     return tracks, frame_of("c", 1, dets, embs), params
 
 
+def tentative_track(tid, det, emb):
+    track = SCTrack(track_id=tid, camera="c", state=kalman.kf_initiate(to_observation(det)))
+    with_gallery(track, [emb])
+    return track
+
+
+def settled_cascade_conflicted_iou():
+    """One confirmed track that only its own detection fits by appearance, and
+    two tentative tracks that both overlap the one other detection."""
+    tracks = [confirmed_track(1, det_at(100, 100), E1, tsu=1),
+              tentative_track(2, det_at(305, 300), E2), tentative_track(3, det_at(300, 300), E2)]
+    return tracks, frame_of("c", 1, [det_at(101, 100), det_at(302, 300)], [E1, E2]), TrackerParams()
+
+
 @given(tracks_and_frames())
+@example(settled_cascade_conflicted_iou())
 def test_associate_equals_per_pair_reference(case):
     tracks, frame, params = case
     assert associate(tracks, frame, params) == reference_associate(tracks, frame, params)
+
+
+def test_hungarian_runs_only_for_the_stage_that_conflicts(monkeypatch):
+    calls = []
+    real = sct.linear_sum_assignment
+    monkeypatch.setattr(sct, "linear_sum_assignment", lambda cost: calls.append(cost) or real(cost))
+    # The cascade's one feasible pair is taken from the mask; the IoU stage
+    # runs one Hungarian over the two tentative tracks and the free detection.
+    assert associate(*settled_cascade_conflicted_iou()) == ([(0, 0), (2, 1)], [1], [])
+    assert [cost.shape for cost in calls] == [(2, 1)]
 
 
 def test_associate_later_cascade_group_sees_only_free_columns():

@@ -34,7 +34,7 @@ from .geo import (
     topology_to_dict,
 )
 from .ingest import Detection, FrameRecord, VehicleClass, read_detection_csv, write_detection_csv
-from .metrics import load_mot_trajectories, write_mot_trajectories
+from .metrics import Trajectories, load_mot_trajectories, write_mot_trajectories
 from .reid import read_embeddings, write_embeddings
 
 METERS_PER_DEGREE = math.pi * 6_371_000.0 / 180.0  # meridian degree, ~111194.93 m
@@ -551,12 +551,15 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
     return scenario, streams
 
 
-def load_ground_truth(outdir, scenario: Scenario) -> dict[int, list]:
+def load_ground_truth(outdir, scenario: Scenario) -> Trajectories:
     """Merge the per-camera GT CSVs into one global-id trajectory set."""
     outdir = Path(outdir)
-    traj: dict[int, list] = {}
-    for cid in scenario.camera_ids:
-        per = load_mot_trajectories(outdir / f"gt_{cid}.csv", camera=cid)
-        for gid, entries in per.items():
-            traj.setdefault(gid, []).extend(entries)
-    return traj
+    parts = [load_mot_trajectories(outdir / f"gt_{cid}.csv", camera=cid)
+             for cid in scenario.camera_ids]
+    return Trajectories.from_columns(
+        scenario.camera_ids,
+        np.repeat(np.arange(len(parts)), [len(part) for part in parts]),
+        np.concatenate([part.frames for part in parts]),
+        np.concatenate([part.ids for part in parts]),
+        np.concatenate([part.boxes for part in parts]),
+    )

@@ -16,7 +16,7 @@ from mcvt.ingest import (
     read_detection_csv,
     write_detection_csv,
 )
-from mcvt.metrics import load_global_trajectories, load_mot_trajectories
+from mcvt.metrics import Trajectories, load_global_trajectories, load_mot_trajectories
 
 
 def box(x1, y1, x2, y2, alpha=1.0, beta=VehicleClass.CAR):
@@ -143,7 +143,7 @@ _CSV_LINES = st.one_of(
 
 
 def _count_rows(loaded) -> int:
-    if isinstance(loaded, list):
+    if isinstance(loaded, (list, Trajectories)):
         return len(loaded)
     return sum(len(entries) for entries in loaded.values())
 

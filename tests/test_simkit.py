@@ -496,13 +496,12 @@ class TestScenarioDir:
         write_scenario_dir(scenario, gt, streams, tmp_path / "scn")
         loaded = load_ground_truth(tmp_path / "scn", scenario)
         reference = gt.trajectories()
-        assert set(loaded) == set(reference)
+        assert set(loaded.ids.tolist()) == set(reference)
         for gid in reference:
-            assert len(loaded[gid]) == len(reference[gid])
-            for (cam_a, f_a, det_a), (cam_b, f_b, det_b) in zip(
-                loaded[gid], reference[gid]
-            ):
-                assert (cam_a, f_a) == (cam_b, f_b)
-                assert det_a.x1 == pytest.approx(det_b.x1, abs=3e-4)
-                assert det_a.y2 == pytest.approx(det_b.y2, abs=3e-4)
+            rows = np.flatnonzero(loaded.ids == gid)  # in (camera, frame) order
+            assert len(rows) == len(reference[gid])
+            for row, (cam_b, f_b, det_b) in zip(rows, reference[gid]):
+                assert (loaded.cameras[loaded.codes[row]], loaded.frames[row]) == (cam_b, f_b)
+                assert loaded.boxes[row, 0] == pytest.approx(det_b.x1, abs=3e-4)
+                assert loaded.boxes[row, 3] == pytest.approx(det_b.y2, abs=3e-4)
                 # vehicle class is not kept: the MOT reader only takes boxes

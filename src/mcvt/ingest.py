@@ -4,14 +4,23 @@ Detections arrive either from per-camera MOTChallenge-style CSV files
 (``frame,id,x,y,w,h,conf,class`` with id == -1 for raw detections) or from the
 scenario simulator.  Embeddings, when provided as files, are row-aligned with
 the CSV (see :mod:`mcvt.reid` for the binary format).
+
+Detections travel as columns, never as one object per row: a detection file
+reads into one ``DetectionColumns`` (frame, corner box, confidence, class per
+row) in one pass over its columns, and a ``FrameRecord`` holds one camera
+frame's rows as array views.  ``Detection`` is the one-row form and the one
+statement of the checks a row must pass; the column pass runs the same checks
+on every row at once, and a file it rejects is read again row by row, so that
+the error names the file and line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -69,33 +78,75 @@ class Detection:
         return self.width * self.height
 
 
+def rejected_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Mask of the (n, 4) corner boxes that ``Detection`` rejects: its box
+    checks (finite corners, x2 > x1 and y2 > y1, a finite area) on every
+    row at once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = boxes[:, 2:] - boxes[:, :2]
+        return ~(np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > boxes[:, :2]).all(axis=1)
+                 & np.isfinite(size[:, 0] * size[:, 1]))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionColumns:
+    """Detection rows as columns, in file order.
+
+    Row i is a detection at frame ``frames[i]`` with corner box ``boxes[i]`` =
+    (x1, y1, x2, y2), confidence ``alpha[i]`` and ``VehicleClass`` value
+    ``beta[i]``.
+    """
+
+    frames: np.ndarray  # (n,) int64
+    boxes: np.ndarray  # (n, 4) float64
+    alpha: np.ndarray  # (n,) float64
+    beta: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+
 @dataclass
 class FrameRecord:
-    """All detections of one camera frame, with optional per-detection embeddings."""
+    """All detections of one camera frame as aligned rows, with optional
+    per-detection embeddings."""
 
     camera: str
     frame_index: int
-    detections: list[Detection] = field(default_factory=list)
-    embeddings: np.ndarray | None = None  # (n_detections, D), unit rows
+    boxes: np.ndarray  # (n, 4) float64 corner boxes
+    alpha: np.ndarray  # (n,) confidences
+    beta: np.ndarray  # (n,) int64 VehicleClass values
+    embeddings: np.ndarray | None = None  # (n, D), unit rows
 
     def __post_init__(self):
         if self.frame_index < 0:
             raise ValueError("frame_index must be >= 0")
-        if self.embeddings is not None and len(self.embeddings) != len(self.detections):
-            raise ValueError(
-                f"{len(self.embeddings)} embeddings for {len(self.detections)} detections"
-            )
+        n = len(self.alpha)
+        if len(self.boxes) != n or len(self.beta) != n:
+            raise ValueError(f"{len(self.boxes)} boxes, {n} confidences and "
+                             f"{len(self.beta)} classes")
+        if self.embeddings is not None and len(self.embeddings) != n:
+            raise ValueError(f"{len(self.embeddings)} embeddings for {n} detections")
+
+    @property
+    def detections(self) -> list[Detection]:
+        """The rows as ``Detection`` objects; the tracker reads the columns."""
+        rows = zip(self.boxes.tolist(), self.alpha.tolist(), self.beta.tolist())
+        return [Detection(*box, alpha, VehicleClass(beta)) for box, alpha, beta in rows]
 
     def select(self, indices) -> "FrameRecord":
         """New record restricted to the given detection indices (order kept)."""
-        dets = [self.detections[i] for i in indices]
-        emb = self.embeddings[list(indices)] if self.embeddings is not None else None
-        return FrameRecord(self.camera, self.frame_index, dets, emb)
+        emb = self.embeddings[indices] if self.embeddings is not None else None
+        return FrameRecord(self.camera, self.frame_index, self.boxes[indices],
+                           self.alpha[indices], self.beta[indices], emb)
 
 
-def filter_confidence_indices(dets: list[Detection], alpha_min: float) -> list[int]:
-    """Indices of detections with alpha >= alpha_min, in input order."""
-    return [i for i, d in enumerate(dets) if d.alpha >= alpha_min]
+def filter_confidence_indices(alpha: np.ndarray, alpha_min: float) -> list[int]:
+    """Indices of the confidences >= alpha_min, in input order.
+
+    A camera frame holds a handful of rows, for which a list comprehension
+    is several times faster than ``np.flatnonzero``."""
+    return [i for i, a in enumerate(alpha.tolist()) if a >= alpha_min]
 
 
 def iou(a: Detection, b: Detection) -> float:
@@ -154,38 +205,94 @@ def read_csv_rows(path, what: str, parse):
             raise MalformedInput(f"{path}, after line {reader.line_num}: {exc}") from None
 
 
-def read_detection_csv(path) -> dict[int, list[Detection]]:
-    """Read a per-camera detection CSV into frame_index -> detections.
+def read_detection_csv(path) -> DetectionColumns:
+    """Read a per-camera detection CSV into columns, rows in file order.
 
     Row layout is ``frame,id,x,y,w,h,conf,class`` with x, y the top-left
-    corner.  Rows must come in frame order and keep file order within a
-    frame, so embedding files stay aligned.  A row that does not parse, and a
-    row of a lower frame than the row before it, raise MalformedInput naming
-    the file and line.
+    corner; conf defaults to 1.0 and class to CAR, and a class that is not
+    one of 1..6 reads as OTHER.  Rows must come in frame order and keep file
+    order within a frame, so embedding files stay aligned.  A row that does
+    not parse or that ``Detection`` rejects, and a row of a lower frame than
+    the row before it, raise MalformedInput naming the file and line.
+    ``frames`` is int64, or of Python ints when a frame does not fit in 64
+    bits; no clip holds such a frame.
     """
-    frames: dict[int, list[Detection]] = {}
+    try:
+        return _read_detection_columns(path)
+    except (ValueError, OverflowError, csv.Error):
+        return _read_detection_rows(path)
 
-    def parse(row) -> tuple[int, Detection]:
+
+def _read_detection_columns(path) -> DetectionColumns:
+    """The rows of a detection CSV, each column parsed as a whole.
+
+    A field that does not parse, a short row, a frame that does not fit in
+    int64, a lower frame after a higher one and a row ``Detection`` rejects
+    raise ValueError or OverflowError; a file that is not text or not CSV
+    raises what ``csv`` raises.
+    """
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    columns = list(islice(zip(*rows), 8))  # as many as the shortest row has
+    if rows and len(columns) < 6:
+        raise ValueError("a short row")
+
+    def column(k: int, default: str):
+        if k < len(columns):
+            return columns[k]
+        return [row[k] if len(row) > k else default for row in rows]
+
+    n = len(rows)
+    frames = np.fromiter(map(int, column(0, "")), np.int64, n)
+    if np.any(frames[1:] < frames[:-1]):
+        raise ValueError("a lower frame after a higher one")
+    x, y, w, h, alpha = (np.fromiter(map(float, column(k, "1.0")), float, n) for k in range(2, 7))
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = np.stack([x, y, x + w, y + h], axis=1).reshape(-1, 4)
+    if rejected_boxes(boxes).any() or not ((alpha >= 0.0) & (alpha <= 1.0)).all():
+        raise ValueError("a row that Detection rejects")
+    classes = column(7, "1")
+    value = {text: int(VehicleClass.from_value(text)) for text in set(classes)}
+    return DetectionColumns(frames, boxes, alpha, np.fromiter(map(value.get, classes), np.int64, n))
+
+
+def _read_detection_rows(path) -> DetectionColumns:
+    """The rows of a detection CSV, parsed and checked one by one through
+    ``read_csv_rows`` and ``Detection``, so that an error names the line."""
+    frames: list[int] = []
+
+    def parse(row) -> Detection:
         frame = int(row[0])
-        if frames and frame < (last := next(reversed(frames))):  # the previous row's frame
-            raise ValueError(f"frame {frame} after frame {last}")
+        if frames and frame < frames[-1]:
+            raise ValueError(f"frame {frame} after frame {frames[-1]}")
         x, y, w, h = map(float, row[2:6])
         conf = float(row[6]) if len(row) > 6 else 1.0
         beta = VehicleClass.from_value(row[7]) if len(row) > 7 else VehicleClass.CAR
-        return frame, Detection(x1=x, y1=y, x2=x + w, y2=y + h, alpha=conf, beta=beta)
+        det = Detection(x1=x, y1=y, x2=x + w, y2=y + h, alpha=conf, beta=beta)
+        frames.append(frame)
+        return det
 
-    for frame, det in read_csv_rows(path, "detection", parse):
-        frames.setdefault(frame, []).append(det)
-    return frames
+    dets = list(read_csv_rows(path, "detection", parse))
+    return DetectionColumns(
+        np.array(frames, dtype=np.int64 if all(-(2**63) <= f < 2**63 for f in frames) else object),
+        np.array([(d.x1, d.y1, d.x2, d.y2) for d in dets], dtype=float).reshape(-1, 4),
+        np.array([d.alpha for d in dets], dtype=float),
+        np.array([int(d.beta) for d in dets], dtype=np.int64),
+    )
 
 
-def write_detection_csv(path, frames: dict[int, list[Detection]]) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for frame in sorted(frames):
-            for d in frames[frame]:
-                writer.writerow(
-                    [frame, -1, f"{d.x1:.4f}", f"{d.y1:.4f}", f"{d.width:.4f}",
-                     f"{d.height:.4f}", f"{d.alpha:.4f}", int(d.beta)]
-                )
+def box_text(boxes: np.ndarray) -> list[str]:
+    """Each (x1, y1, x2, y2) row of (n, 4) corner boxes as ``x,y,w,h`` text
+    with four decimals, width x2 - x1 and height y2 - y1."""
+    x1, y1, x2, y2 = np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    return ["%.4f,%.4f,%.4f,%.4f" % row
+            for row in zip(x1.tolist(), y1.tolist(), (x2 - x1).tolist(), (y2 - y1).tolist())]
+
+
+def write_detection_csv(path, columns: DetectionColumns) -> None:
+    """Write ``frame,-1,x,y,w,h,conf,class`` rows in column order, CSV line ends."""
+    rows = zip(columns.frames.tolist(), box_text(columns.boxes), columns.alpha.tolist(),
+               columns.beta.tolist())
+    with open(Path(path), "w", newline="") as fh:
+        fh.writelines(f"{frame},-1,{box},{alpha:.4f},{beta}\r\n"
+                      for frame, box, alpha, beta in rows)

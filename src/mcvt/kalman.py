@@ -207,7 +207,10 @@ def stack_states(states) -> tuple[np.ndarray, np.ndarray]:
 
 
 def box_observations(boxes: np.ndarray) -> np.ndarray:
-    """Row-wise ``to_observation`` of (N, 4) corner boxes: (N, 4) (u, v, r, h)."""
+    """Row-wise ``to_observation`` of (N, 4) corner boxes: (N, 4) (u, v, r, h).
+
+    The same float operations as ``to_observation``, so every row equals its
+    box's ``to_observation`` bit for bit."""
     x1, y1, x2, y2 = np.asarray(boxes, dtype=float).T
     return np.stack([(x1 + x2) / 2.0, y2, (x2 - x1) / (y2 - y1), y2 - y1], axis=1)
 

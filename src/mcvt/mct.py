@@ -42,8 +42,9 @@ from .geo import (
     haversine,
     haversine_distance,
 )
+from .metrics import Trajectories
 from .reid import l2_normalize, mitigate_camera_bias
-from .sct import ConcludedTrack
+from .sct import TRACK_ROW, ConcludedTrack
 
 BIAS_LAMBDA = 0.1  # camera-bias subtraction weight
 
@@ -356,15 +357,29 @@ def supervisor_tick(
     return assignments, flushed
 
 
-def identities_to_trajectories(identities) -> dict:
-    """Flatten final identities into the metrics trajectory shape."""
-    traj: dict[int, list] = {}
-    for identity in identities:
-        entries = traj.setdefault(identity.global_id, [])
-        for member in identity.members:
-            for frame, box in member.boxes:
-                entries.append((member.camera, frame, box))
-    return traj
+def identity_rows(identities):
+    """Every matched detection of the identities' member tracks, as columns in
+    identity, member and frame order: (cameras, codes, global ids, track ids,
+    rows), where ``cameras`` is sorted, row i is on camera
+    ``cameras[codes[i]]`` and ``rows`` holds ``sct.TRACK_ROW`` entries."""
+    members = [(identity.global_id, member) for identity in identities
+               for member in identity.members]
+    cameras = sorted({member.camera for _, member in members})
+    code = {camera: k for k, camera in enumerate(cameras)}
+    counts = [len(member.boxes) for _, member in members]
+    return (
+        cameras,
+        np.repeat(np.array([code[m.camera] for _, m in members], dtype=np.int64), counts),
+        np.repeat(np.array([gid for gid, _ in members], dtype=np.int64), counts),
+        np.repeat(np.array([m.track_id for _, m in members], dtype=np.int64), counts),
+        np.concatenate([np.empty(0, TRACK_ROW)] + [m.boxes for _, m in members]),
+    )
+
+
+def identities_to_trajectories(identities) -> Trajectories:
+    """Flatten final identities into trajectory columns with global ids."""
+    cameras, codes, gids, _, rows = identity_rows(identities)
+    return Trajectories.from_columns(cameras, codes, rows["frame"], gids, rows["box"])
 
 
 def summarize_identities(identities) -> list[dict]:

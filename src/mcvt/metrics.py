@@ -27,13 +27,14 @@ the frames where paired ids' boxes match.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .ingest import Detection, iou_pairs, read_csv_rows
+from .ingest import Detection, iou_pairs, read_csv_rows, rejected_boxes
 
 IOU_THRESHOLD = 0.5
 
@@ -311,11 +312,8 @@ def _read_columns(path, camera: str | None) -> Trajectories:
     x, y, w, h = (np.fromiter(map(float, column), float, len(rows)) for column in xywh)
     with np.errstate(over="ignore", invalid="ignore"):
         boxes = np.stack([x, y, x + w, y + h], axis=1)
-        size = boxes[:, 2:] - boxes[:, :2]
-        # The checks of Detection, on every row at once.
-        if not (np.isfinite(boxes).all() and (boxes[:, 2:] > boxes[:, :2]).all()
-                and np.isfinite(size[:, 0] * size[:, 1]).all()):
-            raise ValueError("a box that Detection rejects")
+    if rejected_boxes(boxes).any():
+        raise ValueError("a box that Detection rejects")
     return Trajectories.from_columns(
         cameras,
         codes,
@@ -363,15 +361,13 @@ def load_mot_trajectories(path, camera: str = "") -> Trajectories:
     return _read_trajectories(path, "frame,id,x,y,w,h", camera, parse)
 
 
-def write_mot_trajectories(path, rows) -> None:
-    """Write (frame, id, box) rows, in the order given, as MOTChallenge
-    `frame,id,x,y,w,h,1,class,1` lines."""
+def write_mot_trajectories(path, frames, ids, texts, classes) -> None:
+    """Write MOTChallenge `frame,id,x,y,w,h,1,class,1` lines, one per entry of
+    the aligned sequences, in the order given; ``texts`` holds each row's
+    `x,y,w,h` (``ingest.box_text``)."""
     with open(path, "w", newline="") as fh:
-        for frame, tid, box in rows:
-            fh.write(
-                f"{frame},{tid},{box.x1:.4f},{box.y1:.4f},"
-                f"{box.width:.4f},{box.height:.4f},1,{int(box.beta)},1\n"
-            )
+        fh.writelines(f"{frame},{tid},{text},1,{cls},1\n"
+                      for frame, tid, text, cls in zip(frames, ids, texts, classes))
 
 
 def load_global_trajectories(path) -> Trajectories:
@@ -384,12 +380,19 @@ def load_global_trajectories(path) -> Trajectories:
     return _read_trajectories(path, "camera,frame,global_id,x,y,w,h", None, parse)
 
 
-def write_global_trajectories(path, traj: dict[int, list[tuple[str, int, Detection]]]) -> None:
-    """Write `camera,frame,global_id,x,y,w,h` rows in deterministic order."""
-    rows = [(cam, frame, gid, box) for gid, entries in traj.items() for cam, frame, box in entries]
-    rows.sort(key=lambda r: r[:3])
+def write_global_trajectories(path, traj: Trajectories, texts: list[str]) -> None:
+    """Write `camera,frame,global_id,x,y,w,h` rows in the (camera, frame, id)
+    order of ``traj``, with CSV line ends; ``texts[i]`` is row i's `x,y,w,h`
+    (``ingest.box_text(traj.boxes)``)."""
+    quoted = [_csv_field(camera) for camera in traj.cameras]
+    rows = zip(traj.codes.tolist(), traj.frames.tolist(), traj.ids.tolist(), texts)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for cam, frame, gid, box in rows:
-            writer.writerow([cam, frame, gid, f"{box.x1:.4f}", f"{box.y1:.4f}",
-                             f"{box.width:.4f}", f"{box.height:.4f}"])
+        fh.writelines(f"{quoted[code]},{frame},{gid},{text}\r\n"
+                      for code, frame, gid, text in rows)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of several."""
+    line = io.StringIO()
+    csv.writer(line).writerow([text, ""])
+    return line.getvalue()[: -len(",\r\n")]

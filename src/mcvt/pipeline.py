@@ -10,7 +10,9 @@ its frames as one batch (``sct.step_cameras``: one stacked Kalman predict,
 gating factorisation and update per tick, however many cameras), and hands
 concluded tracks to the cross-camera supervisor once the clock passes its
 next deadline, one tick_period apart.  A latency is the processing time of
-one tick, supervisor included, in every mode.
+one tick, supervisor included, in every mode; the end-of-stream supervisor
+tick, which runs after the last tick, is reported on its own
+(``final_tick_ms``).
 
 Offline runs use a VirtualClock, whose time moves only when the engine waits:
 processing takes no time, so nothing is ever dropped and the output is a pure
@@ -32,15 +34,15 @@ import numpy as np
 
 from . import simkit
 from .errors import ConfigError, MalformedInput, SourceMissing, check_settings
-from .ingest import FrameRecord, filter_confidence_indices
+from .ingest import FrameRecord, box_text, filter_confidence_indices
 from .mct import (
     MctConfig,
     MultiCameraStore,
-    identities_to_trajectories,
+    identity_rows,
     summarize_identities,
     supervisor_tick,
 )
-from .metrics import write_global_trajectories, write_mot_trajectories
+from .metrics import Trajectories, write_global_trajectories, write_mot_trajectories
 from .reid import TemporalScorer, temporal_aggregate
 from .sct import SingleCameraTracker, TrackerParams, step_cameras
 
@@ -102,6 +104,7 @@ class RunReport:
     latency_p50_ms: float
     latency_p99_ms: float
     latency_max_ms: float
+    final_tick_ms: float  # the end-of-stream supervisor tick, outside the latencies
     real_time: bool
     identities: list = field(default_factory=list, repr=False)
     latencies_s: list = field(default_factory=list, repr=False)
@@ -164,8 +167,8 @@ def _load_source(cfg: PipelineConfig):
 def _prepare(frame: FrameRecord, cfg: PipelineConfig) -> FrameRecord:
     """The frame's detections of confidence >= alpha_min, embeddings kept aligned:
     the frame itself when every detection passes."""
-    kept = filter_confidence_indices(frame.detections, cfg.alpha_min)
-    return frame if len(kept) == len(frame.detections) else frame.select(kept)
+    kept = filter_confidence_indices(frame.alpha, cfg.alpha_min)
+    return frame if len(kept) == len(frame.alpha) else frame.select(kept)
 
 
 def _embed(frames: list[FrameRecord], embeddings, dim: int) -> list[FrameRecord]:
@@ -174,11 +177,12 @@ def _embed(frames: list[FrameRecord], embeddings, dim: int) -> list[FrameRecord]
     embedded = []
     try:
         for record, emb in zip(frames, embeddings, strict=True):
-            if record.detections and emb is None:
+            if len(record.alpha) and emb is None:
                 raise SourceMissing(f"camera {record.camera}: detections without embeddings")
             if emb is not None and np.shape(emb)[1:] != (dim,):
                 raise ValueError(f"array of shape {np.shape(emb)}, rows of width {dim} expected")
-            embedded.append(FrameRecord(record.camera, record.frame_index, record.detections, emb))
+            embedded.append(FrameRecord(record.camera, record.frame_index, record.boxes,
+                                        record.alpha, record.beta, emb))
     except ValueError as exc:  # a wrong width or row count, or not one array per record
         where = f"camera {frames[len(embedded)].camera}" if len(embedded) < len(frames) else "tick"
         raise MalformedInput(f"{where}: provider output does not fit its frames: {exc}") from None
@@ -287,7 +291,9 @@ def _run_engine(cfg, scenario, streams, trackers, provider, clock):
         tail = trackers[cid].finish()
         n_concluded += len(tail)
         pending.extend(tail)
+    final_started = time.perf_counter()
     _, flushed = supervisor_tick(store, pending, clock.now() - start, topo, cfg.mct)
+    final_tick_s = time.perf_counter() - final_started
     finished.extend(flushed)
     finished.extend(store.drain())
 
@@ -301,6 +307,7 @@ def _run_engine(cfg, scenario, streams, trackers, provider, clock):
         latency_p50_ms=float(np.percentile(lat, 50) * 1e3),
         latency_p99_ms=float(np.percentile(lat, 99) * 1e3),
         latency_max_ms=float(np.max(lat) * 1e3),
+        final_tick_ms=final_tick_s * 1e3,
         real_time=cfg.real_time,
         identities=finished,
         latencies_s=latencies,
@@ -308,22 +315,30 @@ def _run_engine(cfg, scenario, streams, trackers, provider, clock):
 
 
 def _write_outputs(cfg: PipelineConfig, report: RunReport) -> None:
+    """Write the run's files.  Every identity's rows form one set of columns
+    whose box text is formatted once: global_tracks.csv takes them in
+    (camera, frame, global id) order and sct_<camera>.csv its camera's rows
+    in (frame, track id) order."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_global_trajectories(out / "global_tracks.csv", identities_to_trajectories(report.identities))
+    cameras, codes, gids, tids, rows = identity_rows(report.identities)
+    frames, texts = rows["frame"], box_text(rows["box"])
+    order = np.lexsort((gids, frames, codes))
+    write_global_trajectories(
+        out / "global_tracks.csv",
+        Trajectories(tuple(cameras), codes[order], frames[order], gids[order], rows["box"][order]),
+        [texts[i] for i in order.tolist()],
+    )
     (out / "identities.json").write_text(
         json.dumps(summarize_identities(report.identities), indent=2, sort_keys=True) + "\n"
     )
     (out / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     )
-    per_camera: dict[str, list] = {}
-    for identity in report.identities:
-        for member in identity.members:
-            per_camera.setdefault(member.camera, []).append(member)
-    for cid in sorted(per_camera):
-        rows = [
-            (frame, track.track_id, box) for track in per_camera[cid] for frame, box in track.boxes
-        ]
-        rows.sort(key=lambda r: (r[0], r[1]))
-        write_mot_trajectories(out / f"sct_{cid}.csv", rows)
+    order = np.lexsort((tids, frames, codes))
+    ends = np.searchsorted(codes[order], np.arange(1, len(cameras) + 1)).tolist()
+    for camera, start, end in zip(cameras, [0] + ends, ends):
+        part = order[start:end]
+        write_mot_trajectories(out / f"sct_{camera}.csv", frames[part].tolist(),
+                               tids[part].tolist(), [texts[i] for i in part.tolist()],
+                               rows["beta"][part].tolist())

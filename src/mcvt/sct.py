@@ -24,9 +24,14 @@ because infeasible entries cost 1e5 and feasible ones lie in [-2, 2].  Only
 a camera whose feasible pairs of a stage conflict, or that holds a NaN cost
 there, runs Hungarian for that stage (``_match_free``): one matching per
 cascade group, or one for its IoU stage.  ``associate`` and
-``SingleCameraTracker.step`` are the one-camera forms.  A track keeps its
-frame-level features in one growing array; its gallery is a view of the last
-``gallery_budget`` rows.
+``SingleCameraTracker.step`` are the one-camera forms.
+
+Detections stay columns throughout: the tick reads every frame's box array,
+and a track records each matched detection as one ``TRACK_ROW`` (frame,
+corner box, class) in a growing array, with its frame-level features in
+another; its gallery is a view of the last ``gallery_budget`` feature rows.
+A concluded track hands its rows on as one array, which the output writers
+read as columns.
 """
 
 from __future__ import annotations
@@ -41,11 +46,13 @@ from scipy.optimize import linear_sum_assignment
 from . import kalman
 from .errors import EmptyGallery, HorizonPoint, MalformedInput, OutOfOrderFrame, check_settings
 from .geo import GeoPoint, Homography, PixelPoint, pixel_to_geo
-from .ingest import Detection, FrameRecord, VehicleClass, iou_pairs
-from .kalman import KalmanState, observation_to_box, to_observation
+from .ingest import FrameRecord, VehicleClass, iou_pairs
+from .kalman import KalmanState, observation_to_box
 from .reid import l2_normalize, temporal_aggregate
 
 _INFEASIBLE = 1e5
+# One matched detection of a track: its frame, corner box and VehicleClass value.
+TRACK_ROW = np.dtype([("frame", np.int64), ("box", np.float64, (4,)), ("beta", np.int64)])
 
 
 class TrackStatus(Enum):
@@ -74,8 +81,9 @@ class TrackerParams:
 class SCTrack:
     """A live single-camera track.
 
-    Its frame-level features are the first ``n_features`` rows of ``history``,
-    an array that doubles its capacity when full.
+    Its matched detections are the first ``n_rows`` entries of ``rows`` and
+    its frame-level features the first ``n_features`` rows of ``history``;
+    each array doubles its capacity when full.
     """
 
     track_id: int
@@ -84,10 +92,16 @@ class SCTrack:
     status: TrackStatus = TrackStatus.TENTATIVE
     hits: int = 1
     time_since_update: int = 0
-    boxes: list[tuple[int, Detection]] = field(default_factory=list)
     gallery_budget: int = TrackerParams.gallery_budget
     history: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     n_features: int = 0
+    rows: np.ndarray = field(init=False, default_factory=lambda: np.empty(0, TRACK_ROW))
+    n_rows: int = field(init=False, default=0)
+
+    @property
+    def boxes(self) -> np.ndarray:
+        """Every matched detection of the track, oldest first: ``TRACK_ROW`` entries."""
+        return self.rows[: self.n_rows]
 
     @property
     def features(self) -> np.ndarray:
@@ -108,6 +122,15 @@ class SCTrack:
         self.history[self.n_features] = embedding
         self.n_features += 1
 
+    def add_row(self, row) -> None:
+        """Record one matched detection, a ``TRACK_ROW`` entry."""
+        if self.n_rows == len(self.rows):
+            grown = np.empty(max(4, 2 * self.n_rows), TRACK_ROW)
+            grown[: self.n_rows] = self.boxes
+            self.rows = grown
+        self.rows[self.n_rows] = row
+        self.n_rows += 1
+
 
 @dataclass
 class ConcludedTrack:
@@ -121,7 +144,10 @@ class ConcludedTrack:
     l_s: GeoPoint
     l_e: GeoPoint
     class_label: VehicleClass
-    boxes: list[tuple[int, Detection]]
+    boxes: np.ndarray  # TRACK_ROW entries, one per matched frame; a sequence of them is converted
+
+    def __post_init__(self):
+        self.boxes = np.asarray(self.boxes, dtype=TRACK_ROW)
 
 
 def appearance_matrix(galleries, embeddings: np.ndarray) -> np.ndarray:
@@ -187,7 +213,8 @@ def _offsets(counts) -> np.ndarray:
 
 
 class _TickCosts:
-    """The association costs of one tick's cameras, built in one pass.
+    """The association costs of one tick's cameras, built in one pass, and
+    the tick's detections: ``observations`` and ``rows`` (``TRACK_ROW``).
 
     ``cameras`` holds one (tracks, frame, params) triple per camera;
     ``means`` and ``covs`` stack the states of every camera's tracks, camera
@@ -202,12 +229,13 @@ class _TickCosts:
     """
 
     def __init__(self, cameras, means: np.ndarray, covs: np.ndarray):
-        for _, frame, _ in cameras:
-            if frame.detections and frame.embeddings is None:
+        frames = [frame for _, frame, _ in cameras]
+        for frame in frames:
+            if len(frame.alpha) and frame.embeddings is None:
                 raise ValueError("frame detections must carry embeddings for association")
         camera_ids = np.arange(len(cameras))
         self.n_tracks = np.array([len(tracks) for tracks, _, _ in cameras], dtype=np.int64)
-        self.n_dets = np.array([len(frame.detections) for _, frame, _ in cameras], dtype=np.int64)
+        self.n_dets = np.array([len(frame.alpha) for frame in frames], dtype=np.int64)
         self.track_off, self.det_off = _offsets(self.n_tracks), _offsets(self.n_dets)
         self.track_cam = np.repeat(camera_ids, self.n_tracks)
         confirmed = np.array(
@@ -215,10 +243,12 @@ class _TickCosts:
             dtype=bool,
         )
         self.n_confirmed = np.bincount(self.track_cam[confirmed], minlength=len(cameras))
-        boxes = np.array(
-            [(d.x1, d.y1, d.x2, d.y2) for _, frame, _ in cameras for d in frame.detections]
-        ).reshape(-1, 4)
+        boxes = np.concatenate([np.empty((0, 4))] + [frame.boxes for frame in frames])
         self.observations = kalman.box_observations(boxes)
+        self.rows = np.empty(len(boxes), TRACK_ROW)
+        self.rows["frame"] = np.repeat([frame.frame_index for frame in frames], self.n_dets)
+        self.rows["box"] = boxes
+        self.rows["beta"] = np.concatenate([np.empty(0, np.int64)] + [f.beta for f in frames])
 
         per_camera = self.n_tracks * self.n_dets
         self.pair_off = _offsets(per_camera)
@@ -368,9 +398,10 @@ def associate(
     )
 
 
-def majority_class(boxes: list[tuple[int, Detection]]) -> VehicleClass:
-    """Most frequent per-frame label; ties go to the first seen (boxes come in frame order)."""
-    return Counter(d.beta for _, d in boxes).most_common(1)[0][0]
+def majority_class(classes: np.ndarray) -> VehicleClass:
+    """Most frequent of a track's per-frame class values; ties go to the first
+    seen (the column comes in frame order)."""
+    return VehicleClass(Counter(classes.tolist()).most_common(1)[0][0])
 
 
 class SingleCameraTracker:
@@ -428,11 +459,13 @@ class SingleCameraTracker:
             )
 
     def _close_step(
-        self, frame: FrameRecord, matched: list[bool], unmatched_dets: list[int]
+        self, frame: FrameRecord, matched: list[bool], unmatched_dets: list[int],
+        costs: _TickCosts, det_off: int,
     ) -> tuple[list[SCTrack], list[ConcludedTrack]]:
         """Lifecycle after the updates: drop, conclude, keep, then initiate.
 
-        ``matched`` flags each track of the step's start, in order."""
+        ``matched`` flags each track of the step's start, in order; the frame's
+        detection di is detection det_off + di of the tick's ``costs``."""
         concluded: list[ConcludedTrack] = []
         survivors: list[SCTrack] = []
         for track, was_matched in zip(self.tracks, matched):
@@ -448,27 +481,31 @@ class SingleCameraTracker:
         self.tracks = survivors
 
         for di in unmatched_dets:
-            self.tracks.append(self._initiate(frame, di))
+            d = det_off + di
+            self.tracks.append(
+                self._initiate(costs.observations[d], costs.rows[d], frame.embeddings[di])
+            )
 
         return self.tracks, concluded
 
-    def _initiate(self, frame: FrameRecord, di: int) -> SCTrack:
-        det = frame.detections[di]
+    def _initiate(self, observation: np.ndarray, row, embedding: np.ndarray) -> SCTrack:
+        """A new track from one detection: its (u, v, r, h) observation, its
+        ``TRACK_ROW`` entry and its embedding."""
         track = SCTrack(
             track_id=self._next_id,
             camera=self.camera,
-            state=kalman.kf_initiate(to_observation(det)),
-            boxes=[(frame.frame_index, det)],
+            state=kalman.kf_initiate(kalman.Observation(*observation.tolist())),
             gallery_budget=self.params.gallery_budget,
         )
         self._next_id += 1
-        track.add_feature(frame.embeddings[di])
+        track.add_row(row)
+        track.add_feature(embedding)
         return track
 
-    def _record_match(self, track: SCTrack, frame: FrameRecord, di: int) -> None:
+    def _record_match(self, track: SCTrack, row, embedding: np.ndarray) -> None:
         """Bookkeeping of a matched track whose state is already updated."""
-        track.boxes.append((frame.frame_index, frame.detections[di]))
-        track.add_feature(frame.embeddings[di])
+        track.add_row(row)
+        track.add_feature(embedding)
         track.hits += 1
         track.time_since_update = 0
         if track.status is TrackStatus.TENTATIVE and track.hits >= self.params.n_init:
@@ -476,11 +513,12 @@ class SingleCameraTracker:
 
     def _conclude(self, track: SCTrack) -> ConcludedTrack:
         embedding = l2_normalize(self.aggregator(track.features))
-        first_frame, first_det = track.boxes[0]
-        last_frame, last_det = track.boxes[-1]
+        rows = track.boxes
+        first_frame, last_frame = int(rows["frame"][0]), int(rows["frame"][-1])
 
-        def bottom_center(det: Detection) -> GeoPoint:
-            pixel = PixelPoint((det.x1 + det.x2) / 2.0, det.y2)
+        def bottom_center(box: np.ndarray) -> GeoPoint:
+            x1, _, x2, y2 = box.tolist()
+            pixel = PixelPoint((x1 + x2) / 2.0, y2)
             try:
                 return pixel_to_geo(self.homography, pixel)
             except (ValueError, HorizonPoint) as exc:
@@ -493,10 +531,10 @@ class SingleCameraTracker:
             embedding=embedding,
             t_s=first_frame / self.fps,
             t_e=last_frame / self.fps,
-            l_s=bottom_center(first_det),
-            l_e=bottom_center(last_det),
-            class_label=majority_class(track.boxes),
-            boxes=list(track.boxes),
+            l_s=bottom_center(rows["box"][0]),
+            l_e=bottom_center(rows["box"][-1]),
+            class_label=majority_class(rows["beta"]),
+            boxes=rows,
         )
 
 
@@ -544,7 +582,9 @@ def step_cameras(
         for ti, di, mean, cov in zip(matched.tolist(), dets.tolist(), means, covs):
             tracker, frame = pairs[track_cam[ti]]
             live[ti].state = KalmanState(mean=mean, cov=cov)
-            tracker._record_match(live[ti], frame, di - det_off[track_cam[ti]])
+            tracker._record_match(
+                live[ti], costs.rows[di], frame.embeddings[di - det_off[track_cam[ti]]]
+            )
 
     track_off = costs.track_off.tolist()
     return [
@@ -552,6 +592,8 @@ def step_cameras(
             frame,
             is_matched[track_off[c] : track_off[c + 1]].tolist(),
             np.flatnonzero(is_free[det_off[c] : det_off[c + 1]]).tolist(),
+            costs,
+            det_off[c],
         )
         for c, (tracker, frame) in enumerate(pairs)
     ]

@@ -33,7 +33,16 @@ from .geo import (
     topology_from_dict,
     topology_to_dict,
 )
-from .ingest import Detection, FrameRecord, VehicleClass, read_detection_csv, write_detection_csv
+from .ingest import (
+    Detection,
+    DetectionColumns,
+    FrameRecord,
+    VehicleClass,
+    box_text,
+    read_detection_csv,
+    rejected_boxes,
+    write_detection_csv,
+)
 from .metrics import Trajectories, load_mot_trajectories, write_mot_trajectories
 from .reid import read_embeddings, write_embeddings
 
@@ -367,6 +376,9 @@ def render_detections(
     centers are jittered, Poisson false positives get random boxes with fresh
     random embeddings, and true boxes carry oracle embeddings of their id.
     Each (camera, frame) owns its RNG stream, so rendering order is free.
+    A camera's rows are rendered into one set of columns, and its records
+    are views of them (``frame_records``).  A box that ``Detection`` rejects
+    (a jitter so large that a side vanishes) raises its ValueError.
     """
     if oracle is None:
         oracle = EmbeddingOracle(
@@ -378,22 +390,25 @@ def render_detections(
     width, height = scenario.image_size
     streams: dict[str, list[FrameRecord]] = {}
     for cam_index, cid in enumerate(scenario.camera_ids):
-        frames = []
+        frames: list[int] = []
+        boxes: list[tuple[float, float, float, float]] = []
+        alpha: list[float] = []
+        beta: list[int] = []
+        embs: list[np.ndarray] = []
         per_frame = gt.boxes.get(cid, {})
         for frame in range(scenario.n_frames):
             rng = _stream(scenario.seed, _TAG_RENDER, cam_index, frame)
-            dets: list[Detection] = []
-            embs: list[np.ndarray] = []
             for gid, box in per_frame.get(frame, []):
                 if profile.miss_rate > 0.0 and rng.random() < profile.miss_rate:
                     continue
+                corners = (box.x1, box.y1, box.x2, box.y2)
                 if profile.box_jitter_std > 0.0:
                     dx, dy = rng.normal(0.0, profile.box_jitter_std, size=2)
-                    box = Detection(
-                        box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy,
-                        alpha=box.alpha, beta=box.beta,
-                    )
-                dets.append(box)
+                    corners = (box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
+                frames.append(frame)
+                boxes.append(corners)
+                alpha.append(box.alpha)
+                beta.append(int(box.beta))
                 embs.append(oracle.oracle_embedding(gid, draw=rng))
             if profile.false_positive_rate > 0.0:
                 for _ in range(rng.poisson(profile.false_positive_rate)):
@@ -401,25 +416,39 @@ def render_detections(
                     h_px = _BOX_ASPECT * w_px
                     cx = rng.uniform(w_px / 2.0, width - w_px / 2.0)
                     cy = rng.uniform(h_px, height)
-                    dets.append(
-                        Detection(
-                            cx - w_px / 2.0, cy - h_px, cx + w_px / 2.0, cy,
-                            alpha=float(rng.uniform(0.5, 1.0)),
-                            beta=VehicleClass.from_value(int(rng.integers(1, 7))),
-                        )
-                    )
+                    frames.append(frame)
+                    boxes.append((cx - w_px / 2.0, cy - h_px, cx + w_px / 2.0, cy))
+                    alpha.append(float(rng.uniform(0.5, 1.0)))
+                    beta.append(int(rng.integers(1, 7)))  # a VehicleClass value
                     fake = rng.standard_normal(oracle.dim)
                     embs.append(fake / np.linalg.norm(fake))
-            frames.append(
-                FrameRecord(
-                    camera=cid,
-                    frame_index=frame,
-                    detections=dets,
-                    embeddings=np.stack(embs) if embs else None,
-                )
-            )
-        streams[cid] = frames
+        columns = DetectionColumns(
+            np.array(frames, dtype=np.int64),
+            np.array(boxes, dtype=float).reshape(-1, 4),
+            np.array(alpha, dtype=float),
+            np.array(beta, dtype=np.int64),
+        )
+        bad = np.flatnonzero(rejected_boxes(columns.boxes))
+        if len(bad):  # raise the ValueError Detection raises for the first such box
+            Detection(*columns.boxes[bad[0]].tolist(), alpha=float(columns.alpha[bad[0]]))
+        stacked = np.stack(embs) if embs else np.zeros((0, oracle.dim))
+        streams[cid] = frame_records(cid, scenario.n_frames, columns, stacked)
     return streams
+
+
+def frame_records(camera: str, n_frames: int, columns: DetectionColumns,
+                  embeddings: np.ndarray) -> list[FrameRecord]:
+    """One record per frame of the clip, each a view of the camera's rows
+    of that frame (rows in frame order, embeddings row-aligned); a frame
+    without rows has no embeddings."""
+    ends = np.searchsorted(columns.frames, np.arange(1, n_frames + 1)).tolist()
+    records, start = [], 0
+    for frame, end in enumerate(ends):
+        rows = slice(start, end)
+        records.append(FrameRecord(camera, frame, columns.boxes[rows], columns.alpha[rows],
+                                   columns.beta[rows], embeddings[rows] if end > start else None))
+        start = end
+    return records
 
 
 _JSON_KEYS = {"vehicle_class": "class"}  # dataclass field -> scenario.json key
@@ -469,15 +498,21 @@ def write_scenario_dir(
     )
     for cid in scenario.camera_ids:
         per_frame = gt.boxes.get(cid, {})
+        truth = [(frame, gid, d) for frame in sorted(per_frame) for gid, d in per_frame[frame]]
         write_mot_trajectories(
             outdir / f"gt_{cid}.csv",
-            ((frame, gid, d) for frame in sorted(per_frame) for gid, d in per_frame[frame]),
+            [frame for frame, _, _ in truth],
+            [gid for _, gid, _ in truth],
+            box_text(np.array([(d.x1, d.y1, d.x2, d.y2) for _, _, d in truth])),
+            [int(d.beta) for _, _, d in truth],
         )
         records = streams[cid]
-        write_detection_csv(
-            outdir / f"det_{cid}.csv",
-            {r.frame_index: r.detections for r in records if r.detections},
-        )
+        write_detection_csv(outdir / f"det_{cid}.csv", DetectionColumns(
+            np.repeat([r.frame_index for r in records], [len(r.alpha) for r in records]),
+            np.concatenate([np.empty((0, 4))] + [r.boxes for r in records]),
+            np.concatenate([np.empty(0)] + [r.alpha for r in records]),
+            np.concatenate([np.empty(0, np.int64)] + [r.beta for r in records]),
+        ))
         rows = [r.embeddings for r in records if r.embeddings is not None]
         stacked = np.vstack(rows) if rows else np.zeros((0, scenario.embed_dim))
         write_embeddings(outdir / f"emb_{cid}.bin", stacked)
@@ -520,11 +555,11 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
     streams: dict[str, list[FrameRecord]] = {}
     for cid in scenario.camera_ids:
         det_path = outdir / f"det_{cid}.csv"
-        frames = read_detection_csv(det_path)
-        outside = [frame for frame in frames if not 0 <= frame < scenario.n_frames]
-        if outside:
-            raise MalformedInput(f"{det_path}: frame {outside[0]} outside the clip's "
-                                 f"[0, {scenario.n_frames})")
+        columns = read_detection_csv(det_path)
+        outside = np.flatnonzero((columns.frames < 0) | (columns.frames >= scenario.n_frames))
+        if len(outside):
+            raise MalformedInput(f"{det_path}: frame {columns.frames[outside[0]]} outside the "
+                                 f"clip's [0, {scenario.n_frames})")
         emb_path = outdir / f"emb_{cid}.bin"
         emb = read_embeddings(emb_path)
         if emb.shape[1] != scenario.embed_dim:
@@ -535,19 +570,11 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
         if bad is not None:
             raise MalformedInput(f"{emb_path}: row {bad[0]} is not a finite unit vector "
                                  f"(norm {bad[1]})")
-        n_dets = sum(map(len, frames.values()))
-        if n_dets != emb.shape[0]:
+        if len(columns) != emb.shape[0]:
             raise MalformedInput(
-                f"{emb_path}: {emb.shape[0]} embeddings for {n_dets} detections"
+                f"{emb_path}: {emb.shape[0]} embeddings for {len(columns)} detections"
             )
-        cursor = 0
-        records = []
-        for frame in range(scenario.n_frames):
-            dets = frames.get(frame, [])
-            rows = emb[cursor : cursor + len(dets)] if dets else None
-            cursor += len(dets)
-            records.append(FrameRecord(cid, frame, dets, rows))
-        streams[cid] = records
+        streams[cid] = frame_records(cid, scenario.n_frames, columns, emb)
     return scenario, streams
 
 

@@ -1,14 +1,19 @@
 """CLI surface: exit codes, JSON output lines, end-to-end command flow."""
 
+import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcvt
 from mcvt.cli import main
@@ -291,6 +296,48 @@ class TestRunErrors:
         assert main(["run", "--scenario", str(small_scenario)]) == 1
         (line,) = error_lines(capsys)
         assert line.startswith("error: ") and "scenario.json" in line and "'sim'" in line
+
+
+HOSTILE_CELLS = ["nan", "inf", "-inf", "0", "1e308", "-1e308", "1e-300", "", "x",
+                 "9" * 30, "-" + "9" * 30]
+
+
+@pytest.fixture(scope="module")
+def corruptible_scenario(tmp_path_factory):
+    """A scenario long enough to conclude tracks, written once for the module."""
+    scn, _ = written_scenario(tmp_path_factory.mktemp("hostile"), 17, 2, 4, 15.0)
+    return scn
+
+
+@settings(max_examples=120)
+@given(data=st.data(), camera=st.sampled_from(["c001", "c002"]), column=st.integers(0, 7),
+       value=st.sampled_from(HOSTILE_CELLS))
+def test_hostile_detection_cell(corruptible_scenario, tmp_path_factory, data, camera, column,
+                                value):
+    """One cell of a detection file set to a hostile value either runs
+    cleanly or fails with one error line that names the file."""
+    scn = tmp_path_factory.mktemp("scn")
+    shutil.copytree(corruptible_scenario, scn, dirs_exist_ok=True)
+    det = scn / f"det_{camera}.csv"
+    lines = det.read_text().splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1), label="row")
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
+    det.write_text("".join(line + "\n" for line in lines))
+
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(["run", "--scenario", str(scn), "--out", str(scn / "out")])
+    errors = err.getvalue().splitlines()
+    if code == 0:
+        assert errors == [] and [str(w.message) for w in caught] == []
+    else:
+        assert code == 1
+        (line,) = errors
+        assert line.startswith("error: ") and f"det_{camera}.csv" in line
 
 
 class TestGenScenarioErrors:

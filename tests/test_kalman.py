@@ -275,3 +275,15 @@ def test_update_many_with_one_singular_row_raises():
     with pytest.raises(SingularInnovation):
         kalman.update_many(*kalman.stack_states(states), obs)
     kalman.update_many(*kalman.stack_states(good), obs[:3])  # the others alone are fine
+
+
+_CORNERS = st.floats(-1e4, 1e4, allow_subnormal=False)
+_SIDES = st.floats(1e-3, 1e4, allow_subnormal=False)
+
+
+@given(boxes=st.lists(st.tuples(_CORNERS, _CORNERS, _SIDES, _SIDES), min_size=1, max_size=20))
+def test_box_observations_equal_to_observation_bit_for_bit(boxes):
+    dets = [Detection(x, y, x + w, y + h, 1.0) for x, y, w, h in boxes]
+    rows = kalman.box_observations(np.array([(d.x1, d.y1, d.x2, d.y2) for d in dets]))
+    for det, row in zip(dets, rows):
+        assert np.array_equal(row, to_observation(det).as_vector())

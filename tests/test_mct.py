@@ -29,7 +29,7 @@ from mcvt.geo import (
     haversine_distance,
     make_topology,
 )
-from mcvt.ingest import Detection, VehicleClass
+from mcvt.ingest import VehicleClass
 from mcvt.mct import (
     Candidate,
     MctConfig,
@@ -63,7 +63,7 @@ E2 = unit(0, 1, 0, 0)
 
 
 def ct(camera, tid, t_s, t_e, x_s, x_e, emb=E1, cls=VehicleClass.CAR):
-    frames = [(int(round(t_s * 10)), Detection(0, 0, 10, 10, 1.0, cls))]
+    frames = [(int(round(t_s * 10)), (0.0, 0.0, 10.0, 10.0), int(cls))]  # one sct.TRACK_ROW
     return ConcludedTrack(
         camera=camera,
         track_id=tid,
@@ -790,8 +790,8 @@ def test_identities_to_trajectories_shape():
         4, [ct("A", 1, 0, 6, 0, 60), ct("B", 2, 15, 21, 150, 210)]
     )
     traj = identities_to_trajectories([identity])
-    assert set(traj) == {4}
-    cams = {camera for camera, _, _ in traj[4]}
+    assert set(traj.ids.tolist()) == {4}
+    cams = {traj.cameras[code] for code in traj.codes.tolist()}
     assert cams == {"A", "B"}
 
 

@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 
 from mcvt import metrics
 from mcvt.errors import MalformedInput
-from mcvt.ingest import Detection, iou
+from mcvt.ingest import Detection, box_text, iou
 from mcvt.metrics import (
     MotSummary,
     evaluate_identity,
@@ -452,7 +452,8 @@ def test_global_csv_roundtrip(tmp_path):
         1: [("a", 0, box(50.0))],
     }
     path = tmp_path / "global.csv"
-    write_global_trajectories(path, original)
+    columns = metrics._from_dict(original)
+    write_global_trajectories(path, columns, box_text(columns.boxes))
     # Deterministic row order: (camera, frame, id).
     rows = path.read_text().strip().splitlines()
     assert rows[0].startswith("a,0,1") or rows[0].startswith("a,0,2")

@@ -142,7 +142,8 @@ class TestConfig:
 def test_prepare_builds_a_record_only_when_the_filter_drops_a_detection():
     dets = [Detection(0, 0, 10, 10, 0.9, VehicleClass.CAR),
             Detection(20, 0, 30, 10, 0.4, VehicleClass.CAR)]
-    frame = FrameRecord("c001", 0, dets, np.eye(2, 4))
+    frame = FrameRecord("c001", 0, np.array([[0.0, 0, 10, 10], [20, 0, 30, 10]]),
+                        np.array([0.9, 0.4]), np.array([1, 1]), np.eye(2, 4))
     assert pipeline._prepare(frame, PipelineConfig(scenario_dir="d", alpha_min=0.4)) is frame
     kept = pipeline._prepare(frame, PipelineConfig(scenario_dir="d", alpha_min=0.5))
     assert kept.detections == dets[:1] and np.array_equal(kept.embeddings, np.eye(2, 4)[:1])
@@ -332,11 +333,45 @@ class TestOffline:
     def test_report_to_dict_shape(self):
         report = RunReport(frames={}, dropped={}, n_concluded=0, n_identities=0,
                            wall_time_s=1.0, latency_p50_ms=1.0, latency_p99_ms=2.0,
-                           latency_max_ms=3.0, real_time=False)
+                           latency_max_ms=3.0, final_tick_ms=4.0, real_time=False)
         assert set(report.to_dict()) == {
             "frames", "dropped", "n_concluded", "n_identities", "wall_time_s",
-            "latency_p50_ms", "latency_p99_ms", "latency_max_ms", "real_time",
+            "latency_p50_ms", "latency_p99_ms", "latency_max_ms", "final_tick_ms", "real_time",
         }
+        assert report.to_dict()["final_tick_ms"] == 4.0
+
+    def test_final_tick_is_reported_outside_the_tick_latencies(self, scenario_dir, tmp_path,
+                                                               monkeypatch):
+        ticks = []
+        tick = pipeline.supervisor_tick
+
+        def timed(*args):
+            ticks.append(len(args[1]))
+            return tick(*args)
+
+        monkeypatch.setattr(pipeline, "supervisor_tick", timed)
+        out = tmp_path / "out"
+        report = run(PipelineConfig(scenario_dir=str(scenario_dir), out_dir=str(out)))
+        assert len(report.latencies_s) == 300  # one per tick; the final supervisor tick is not one
+        assert ticks[-1] > 0  # the end-of-stream tick got the tracks that finish() concluded
+        assert report.final_tick_ms > 0.0
+        written = json.loads((out / "report.json").read_text())
+        assert written["final_tick_ms"] == report.final_tick_ms
+
+    def test_a_run_builds_no_detection_object(self, scenario_dir, tmp_path, monkeypatch):
+        built = Counter()
+        check = Detection.__post_init__
+
+        def counted(self):
+            built["detections"] += 1
+            check(self)
+
+        monkeypatch.setattr(Detection, "__post_init__", counted)
+        report = run(PipelineConfig(scenario_dir=str(scenario_dir), out_dir=str(tmp_path / "o")))
+        assert report.n_concluded > 0 and (tmp_path / "o" / "sct_c001.csv").stat().st_size > 0
+        assert built["detections"] == 0
+        Detection(0, 0, 1, 1, 1.0)  # the counter does count
+        assert built["detections"] == 1
 
 
 class TestRealTime:

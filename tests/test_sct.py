@@ -40,7 +40,14 @@ def det_at(x, y, w=40.0, h=40.0, beta=VehicleClass.CAR):
 
 def frame_of(camera, idx, dets, embs):
     emb = np.stack(embs) if embs else None
-    return FrameRecord(camera, idx, list(dets), emb)
+    boxes = np.array([(d.x1, d.y1, d.x2, d.y2) for d in dets], dtype=float).reshape(-1, 4)
+    alpha = np.array([d.alpha for d in dets], dtype=float)
+    return FrameRecord(camera, idx, boxes, alpha, np.array([int(d.beta) for d in dets]), emb)
+
+
+def row_of(frame_index, det):
+    """The track row (``sct.TRACK_ROW``) of a detection at a frame."""
+    return frame_index, (det.x1, det.y1, det.x2, det.y2), int(det.beta)
 
 
 def predicted_box(track):
@@ -62,7 +69,7 @@ def confirmed_track(tid, det, emb, tsu=0):
     )
     with_gallery(t, [emb])
     t.time_since_update = tsu
-    t.boxes.append((0, det))
+    t.add_row(row_of(0, det))
     return t
 
 
@@ -129,20 +136,15 @@ def test_associate_tentative_goes_through_iou_only():
 
 
 def test_associate_requires_embeddings():
-    frame = FrameRecord("c", 1, [det_at(0, 0)], None)
+    frame = frame_of("c", 1, [det_at(0, 0)], [])
     with pytest.raises(ValueError):
         associate([], frame)
 
 
 def test_majority_class_tie_breaks_earliest():
-    boxes = [
-        (0, det_at(0, 0, beta=VehicleClass.BUS)),
-        (1, det_at(0, 0, beta=VehicleClass.CAR)),
-        (2, det_at(0, 0, beta=VehicleClass.CAR)),
-        (3, det_at(0, 0, beta=VehicleClass.BUS)),
-    ]
-    assert majority_class(boxes) is VehicleClass.BUS
-    assert majority_class(boxes[1:]) is VehicleClass.CAR
+    classes = np.array([VehicleClass.BUS, VehicleClass.CAR, VehicleClass.CAR, VehicleClass.BUS])
+    assert majority_class(classes) is VehicleClass.BUS
+    assert majority_class(classes[1:]) is VehicleClass.CAR
 
 
 class TestTrackerLifecycle:
@@ -221,8 +223,7 @@ class TestTrackerLifecycle:
             if k >= 3:
                 for t in tracks:
                     assert t.status is TrackStatus.CONFIRMED
-                    _, last_det = t.boxes[-1]
-                    lane = "top" if last_det.y1 < 200 else "bottom"
+                    lane = "top" if t.boxes["box"][-1, 1] < 200 else "bottom"
                     id_for.setdefault(lane, t.track_id)
                     assert id_for[lane] == t.track_id
         assert id_for["top"] != id_for["bottom"]
@@ -582,7 +583,7 @@ def reference_step(tracker, frame):
     for ti, di in matches:
         track, det = tracker.tracks[ti], frame.detections[di]
         track.state = reference_update(track.state, to_observation(det))
-        track.boxes.append((frame.frame_index, det))
+        track.add_row(row_of(frame.frame_index, det))
         track.add_feature(frame.embeddings[di])
         track.hits += 1
         track.time_since_update = 0
@@ -601,7 +602,10 @@ def reference_step(tracker, frame):
             survivors.append(track)
     tracker.tracks = survivors
     for di in unmatched_dets:
-        tracker.tracks.append(tracker._initiate(frame, di))
+        det = frame.detections[di]
+        tracker.tracks.append(tracker._initiate(to_observation(det).as_vector(),
+                                                row_of(frame.frame_index, det),
+                                                frame.embeddings[di]))
     return tracker.tracks, concluded
 
 
@@ -612,7 +616,7 @@ def assert_same_tracks(got, want):
         assert np.array_equal(a.state.mean, b.state.mean)
         assert np.array_equal(a.state.cov, b.state.cov)
         assert np.array_equal(a.gallery, b.gallery)
-        assert a.boxes == b.boxes
+        assert np.array_equal(a.boxes, b.boxes)
 
 
 def assert_same_concluded(got, want):
@@ -620,7 +624,7 @@ def assert_same_concluded(got, want):
     for a, b in zip(got, want):
         assert np.array_equal(a.embedding, b.embedding)
         assert (a.camera, a.t_s, a.t_e, a.l_s, a.l_e) == (b.camera, b.t_s, b.t_e, b.l_s, b.l_e)
-        assert (a.class_label, a.boxes) == (b.class_label, b.boxes)
+        assert a.class_label == b.class_label and np.array_equal(a.boxes, b.boxes)
 
 
 @st.composite

@@ -7,11 +7,13 @@ the CSV (see :mod:`mcvt.reid` for the binary format).
 
 Detections travel as columns, never as one object per row: a detection file
 reads into one ``DetectionColumns`` (frame, corner box, confidence, class per
-row) in one pass over its columns, and a ``FrameRecord`` holds one camera
-frame's rows as array views.  ``Detection`` is the one-row form and the one
-statement of the checks a row must pass; the column pass runs the same checks
-on every row at once, and a file it rejects is read again row by row, so that
-the error names the file and line.
+row) in one pass over its columns.  A ``CameraStream`` holds a camera's
+columns over a clip with their row-aligned embeddings, and cuts a frame's
+``FrameRecord`` (its rows as array views) only when that frame is asked for.
+``Detection`` is the one-row form and the one statement of the checks a row
+must pass; the column pass runs the same checks on every row at once, and a
+file it rejects is read again row by row, so that the error names the file
+and line.
 """
 
 from __future__ import annotations
@@ -134,19 +136,43 @@ class FrameRecord:
         rows = zip(self.boxes.tolist(), self.alpha.tolist(), self.beta.tolist())
         return [Detection(*box, alpha, VehicleClass(beta)) for box, alpha, beta in rows]
 
-    def select(self, indices) -> "FrameRecord":
-        """New record restricted to the given detection indices (order kept)."""
-        emb = self.embeddings[indices] if self.embeddings is not None else None
-        return FrameRecord(self.camera, self.frame_index, self.boxes[indices],
-                           self.alpha[indices], self.beta[indices], emb)
+
+class CameraStream:
+    """One camera's detections over a clip of ``n_frames`` frames: ``columns``
+    (rows in frame order, inside the clip), their row-aligned (n, D)
+    ``embeddings``, and ``offsets``, which put frame i's rows at
+    ``offsets[i]:offsets[i + 1]``.  ``stream[i]`` cuts frame i's
+    ``FrameRecord`` as views of its rows; an empty frame's has (0, D)
+    embeddings."""
+
+    def __init__(self, camera: str, n_frames: int, columns: DetectionColumns,
+                 embeddings: np.ndarray):
+        if len(embeddings) != len(columns):
+            raise ValueError(f"{len(embeddings)} embeddings for {len(columns)} detections")
+        self.camera = camera
+        self.columns = columns
+        self.embeddings = embeddings
+        self.offsets = np.searchsorted(columns.frames, np.arange(n_frames + 1)).tolist()
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, frame: int) -> FrameRecord:
+        rows = slice(self.offsets[frame], self.offsets[frame + 1])
+        return FrameRecord(self.camera, frame, self.columns.boxes[rows], self.columns.alpha[rows],
+                           self.columns.beta[rows], self.embeddings[rows])
+
+    def select(self, rows) -> "CameraStream":
+        """The stream of the given rows over the same clip, order kept."""
+        columns = self.columns
+        return CameraStream(self.camera, len(self), DetectionColumns(
+            columns.frames[rows], columns.boxes[rows], columns.alpha[rows], columns.beta[rows],
+        ), self.embeddings[rows])
 
 
-def filter_confidence_indices(alpha: np.ndarray, alpha_min: float) -> list[int]:
-    """Indices of the confidences >= alpha_min, in input order.
-
-    A camera frame holds a handful of rows, for which a list comprehension
-    is several times faster than ``np.flatnonzero``."""
-    return [i for i, a in enumerate(alpha.tolist()) if a >= alpha_min]
+def filter_confidence_indices(alpha: np.ndarray, alpha_min: float) -> np.ndarray:
+    """Indices of the confidences >= alpha_min, in input order."""
+    return np.flatnonzero(alpha >= alpha_min)
 
 
 def iou(a: Detection, b: Detection) -> float:
@@ -176,9 +202,12 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, area_a + area_b - inter, out=np.zeros(inter.shape), where=overlap)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of (T, 4) against (N, 4) corner boxes: (T, N), entry for entry ``iou``."""
-    return iou_pairs(np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[None])
+def parse_int64(text: str) -> int:
+    """``int(text)``, which must fit the int64 columns."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} does not fit in 64 bits")
+    return value
 
 
 def read_csv_rows(path, what: str, parse):
@@ -212,10 +241,9 @@ def read_detection_csv(path) -> DetectionColumns:
     corner; conf defaults to 1.0 and class to CAR, and a class that is not
     one of 1..6 reads as OTHER.  Rows must come in frame order and keep file
     order within a frame, so embedding files stay aligned.  A row that does
-    not parse or that ``Detection`` rejects, and a row of a lower frame than
-    the row before it, raise MalformedInput naming the file and line.
-    ``frames`` is int64, or of Python ints when a frame does not fit in 64
-    bits; no clip holds such a frame.
+    not parse or that ``Detection`` rejects (a frame beyond int64 included),
+    and a row of a lower frame than the row before it, raise MalformedInput
+    naming the file and line.
     """
     try:
         return _read_detection_columns(path)
@@ -262,7 +290,7 @@ def _read_detection_rows(path) -> DetectionColumns:
     frames: list[int] = []
 
     def parse(row) -> Detection:
-        frame = int(row[0])
+        frame = parse_int64(row[0])
         if frames and frame < frames[-1]:
             raise ValueError(f"frame {frame} after frame {frames[-1]}")
         x, y, w, h = map(float, row[2:6])
@@ -274,7 +302,7 @@ def _read_detection_rows(path) -> DetectionColumns:
 
     dets = list(read_csv_rows(path, "detection", parse))
     return DetectionColumns(
-        np.array(frames, dtype=np.int64 if all(-(2**63) <= f < 2**63 for f in frames) else object),
+        np.array(frames, dtype=np.int64),
         np.array([(d.x1, d.y1, d.x2, d.y2) for d in dets], dtype=float).reshape(-1, 4),
         np.array([d.alpha for d in dets], dtype=float),
         np.array([int(d.beta) for d in dets], dtype=np.int64),

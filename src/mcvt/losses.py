@@ -20,7 +20,6 @@ from scipy.special import logsumexp, softmax
 from .errors import DegenerateBatch, OutOfRange
 
 DEFAULT_MARGIN = 0.3
-DEFAULT_EPSILON = 0.1
 
 
 def _hardest_pairs(features: np.ndarray, ids: np.ndarray):

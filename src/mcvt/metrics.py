@@ -34,7 +34,7 @@ from itertools import islice
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .ingest import Detection, iou_pairs, read_csv_rows, rejected_boxes
+from .ingest import Detection, iou_pairs, parse_int64, read_csv_rows, rejected_boxes
 
 IOU_THRESHOLD = 0.5
 
@@ -278,14 +278,6 @@ def _identity_counts(gt: Trajectories, pred: Trajectories, hit_g, hit_p):
     return idp, idr, idf1, idtp, total_pred - idtp, total_gt - idtp
 
 
-def _int64(text: str) -> int:
-    """``int(text)``, which must fit the int64 columns."""
-    value = int(text)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(f"{value} does not fit in 64 bits")
-    return value
-
-
 def _read_columns(path, camera: str | None) -> Trajectories:
     """The rows of a CSV file but blank and ``#`` rows, each column parsed as
     a whole with ``int`` or ``float``.  With ``camera`` None the rows are
@@ -356,7 +348,8 @@ def load_mot_trajectories(path, camera: str = "") -> Trajectories:
 
     def parse(row):
         x, y, w, h = map(float, row[2:6])
-        return camera, _int64(row[0]), _int64(row[1]), Detection(x, y, x + w, y + h, alpha=1.0)
+        return (camera, parse_int64(row[0]), parse_int64(row[1]),
+                Detection(x, y, x + w, y + h, alpha=1.0))
 
     return _read_trajectories(path, "frame,id,x,y,w,h", camera, parse)
 
@@ -375,7 +368,8 @@ def load_global_trajectories(path) -> Trajectories:
 
     def parse(row):
         x, y, w, h = map(float, row[3:7])
-        return row[0], _int64(row[1]), _int64(row[2]), Detection(x, y, x + w, y + h, alpha=1.0)
+        return (row[0], parse_int64(row[1]), parse_int64(row[2]),
+                Detection(x, y, x + w, y + h, alpha=1.0))
 
     return _read_trajectories(path, "camera,frame,global_id,x,y,w,h", None, parse)
 

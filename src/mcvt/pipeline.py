@@ -1,18 +1,19 @@
 """End-to-end orchestration: sources -> per-camera trackers -> supervisor.
 
 One single-threaded engine runs every mode, stepped by a clock with ``now()``
-and ``sleep_until(t)``.  Frame i of every camera is due at i/fps.  Due frames
-enter a per-camera deque holding QUEUE_SECONDS of frames; when a deque is full
-its oldest frame is dropped and counted.  Each tick pops at most one frame per
-camera, consults the embedding provider once for that list of frames (it
-stands in for a shared GPU inference service), steps the trackers of all
+and ``sleep_until(t)``.  The source gives one ``ingest.CameraStream`` per
+camera, filtered by confidence once, on its whole column.  Frame i of every
+camera is due at i/fps, when its ``FrameRecord`` is cut from the stream.  Due
+frames enter a per-camera deque holding QUEUE_SECONDS of frames; when a deque
+is full its oldest frame is dropped and counted.  Each tick pops at most one
+frame per camera, consults the embedding provider once for that list of frames
+(it stands in for a shared GPU inference service), steps the trackers of all
 its frames as one batch (``sct.step_cameras``: one stacked Kalman predict,
 gating factorisation and update per tick, however many cameras), and hands
-concluded tracks to the cross-camera supervisor once the clock passes its
-next deadline, one tick_period apart.  A latency is the processing time of
-one tick, supervisor included, in every mode; the end-of-stream supervisor
-tick, which runs after the last tick, is reported on its own
-(``final_tick_ms``).
+concluded tracks to the cross-camera supervisor once the clock passes its next
+deadline, one tick_period apart.  A latency is the processing time of one
+tick, supervisor included, in every mode; the end-of-stream supervisor tick,
+which runs after the last tick, is reported on its own (``final_tick_ms``).
 
 Offline runs use a VirtualClock, whose time moves only when the engine waits:
 processing takes no time, so nothing is ever dropped and the output is a pure
@@ -146,7 +147,7 @@ class WallClock:
 
 
 def _load_source(cfg: PipelineConfig):
-    """Resolve the config into (scenario, per-camera streams)."""
+    """Resolve the config into (scenario, per-camera streams of confidence >= alpha_min)."""
     if cfg.scenario_dir is not None:
         directory = Path(cfg.scenario_dir)
         if not (directory / "scenario.json").exists():
@@ -161,19 +162,17 @@ def _load_source(cfg: PipelineConfig):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sim config: {exc}") from exc
         streams = simkit.render_detections(scenario, gt, profile)
+    for cid, stream in streams.items():
+        kept = filter_confidence_indices(stream.columns.alpha, cfg.alpha_min)
+        if len(kept) < len(stream.columns):
+            streams[cid] = stream.select(kept)
     return scenario, streams
-
-
-def _prepare(frame: FrameRecord, cfg: PipelineConfig) -> FrameRecord:
-    """The frame's detections of confidence >= alpha_min, embeddings kept aligned:
-    the frame itself when every detection passes."""
-    kept = filter_confidence_indices(frame.alpha, cfg.alpha_min)
-    return frame if len(kept) == len(frame.alpha) else frame.select(kept)
 
 
 def _embed(frames: list[FrameRecord], embeddings, dim: int) -> list[FrameRecord]:
     """The tick's records with the provider's arrays: of width ``dim``, one
-    finite unit row (``simkit.first_non_unit_row``) per detection."""
+    finite unit row (``simkit.first_non_unit_row``) per detection.  A record
+    whose own array comes back is kept as it is."""
     embedded = []
     try:
         for record, emb in zip(frames, embeddings, strict=True):
@@ -181,12 +180,12 @@ def _embed(frames: list[FrameRecord], embeddings, dim: int) -> list[FrameRecord]
                 raise SourceMissing(f"camera {record.camera}: detections without embeddings")
             if emb is not None and np.shape(emb)[1:] != (dim,):
                 raise ValueError(f"array of shape {np.shape(emb)}, rows of width {dim} expected")
-            embedded.append(FrameRecord(record.camera, record.frame_index, record.boxes,
-                                        record.alpha, record.beta, emb))
+            embedded.append(record if emb is record.embeddings else FrameRecord(
+                record.camera, record.frame_index, record.boxes, record.alpha, record.beta, emb))
     except ValueError as exc:  # a wrong width or row count, or not one array per record
         where = f"camera {frames[len(embedded)].camera}" if len(embedded) < len(frames) else "tick"
         raise MalformedInput(f"{where}: provider output does not fit its frames: {exc}") from None
-    carried = [record for record in embedded if record.embeddings is not None]
+    carried = [record for record in embedded if len(record.alpha)]
     rows = [record.embeddings for record in carried]
     bad = simkit.first_non_unit_row(np.concatenate(rows)) if rows else None
     if bad is not None:
@@ -269,7 +268,7 @@ def _run_engine(cfg, scenario, streams, trackers, provider, clock):
             continue
 
         tick_started = time.perf_counter()
-        frames = [_prepare(queues[cid].popleft(), cfg) for cid in cameras if queues[cid]]
+        frames = [queues[cid].popleft() for cid in cameras if queues[cid]]
         frames = _embed(frames, provider(frames), scenario.embed_dim)
         stepped = step_cameras([(trackers[record.camera], record) for record in frames])
         for record, (_, concluded) in zip(frames, stepped):

@@ -34,9 +34,9 @@ from .geo import (
     topology_to_dict,
 )
 from .ingest import (
+    CameraStream,
     Detection,
     DetectionColumns,
-    FrameRecord,
     VehicleClass,
     box_text,
     read_detection_csv,
@@ -369,16 +369,16 @@ def render_detections(
     gt: GroundTruth,
     profile: NoiseProfile,
     oracle: EmbeddingOracle | None = None,
-) -> dict[str, list[FrameRecord]]:
-    """Noisy per-camera detection streams (one FrameRecord per frame, gaps kept).
+) -> dict[str, CameraStream]:
+    """Noisy detections, one ``CameraStream`` per camera over the whole clip.
 
     Each GT box is independently dropped with miss_rate, the survivors'
     centers are jittered, Poisson false positives get random boxes with fresh
     random embeddings, and true boxes carry oracle embeddings of their id.
     Each (camera, frame) owns its RNG stream, so rendering order is free.
-    A camera's rows are rendered into one set of columns, and its records
-    are views of them (``frame_records``).  A box that ``Detection`` rejects
-    (a jitter so large that a side vanishes) raises its ValueError.
+    A camera's rows are rendered into one set of columns and (n, D)
+    embeddings.  A box that ``Detection`` rejects (a jitter so large that a
+    side vanishes) raises its ValueError.
     """
     if oracle is None:
         oracle = EmbeddingOracle(
@@ -388,7 +388,7 @@ def render_detections(
             seed=scenario.seed,
         )
     width, height = scenario.image_size
-    streams: dict[str, list[FrameRecord]] = {}
+    streams: dict[str, CameraStream] = {}
     for cam_index, cid in enumerate(scenario.camera_ids):
         frames: list[int] = []
         boxes: list[tuple[float, float, float, float]] = []
@@ -432,23 +432,8 @@ def render_detections(
         if len(bad):  # raise the ValueError Detection raises for the first such box
             Detection(*columns.boxes[bad[0]].tolist(), alpha=float(columns.alpha[bad[0]]))
         stacked = np.stack(embs) if embs else np.zeros((0, oracle.dim))
-        streams[cid] = frame_records(cid, scenario.n_frames, columns, stacked)
+        streams[cid] = CameraStream(cid, scenario.n_frames, columns, stacked)
     return streams
-
-
-def frame_records(camera: str, n_frames: int, columns: DetectionColumns,
-                  embeddings: np.ndarray) -> list[FrameRecord]:
-    """One record per frame of the clip, each a view of the camera's rows
-    of that frame (rows in frame order, embeddings row-aligned); a frame
-    without rows has no embeddings."""
-    ends = np.searchsorted(columns.frames, np.arange(1, n_frames + 1)).tolist()
-    records, start = [], 0
-    for frame, end in enumerate(ends):
-        rows = slice(start, end)
-        records.append(FrameRecord(camera, frame, columns.boxes[rows], columns.alpha[rows],
-                                   columns.beta[rows], embeddings[rows] if end > start else None))
-        start = end
-    return records
 
 
 _JSON_KEYS = {"vehicle_class": "class"}  # dataclass field -> scenario.json key
@@ -483,13 +468,14 @@ def _scenario_from_dict(data: dict) -> Scenario:
 def write_scenario_dir(
     scenario: Scenario,
     gt: GroundTruth,
-    streams: dict[str, list[FrameRecord]],
+    streams: dict[str, CameraStream],
     outdir,
 ) -> None:
     """Write scenario.json plus per-camera GT/detection CSVs and embeddings.
 
-    GT rows use the MOTChallenge shape `frame,id,x,y,w,h,1,class,1`;
-    embedding rows align with detection CSV rows in (frame, row) order.
+    GT rows use the MOTChallenge shape `frame,id,x,y,w,h,1,class,1`; each
+    camera's detection CSV and embedding file are its stream's columns and
+    embeddings as they are, so their rows stay aligned.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -506,16 +492,8 @@ def write_scenario_dir(
             box_text(np.array([(d.x1, d.y1, d.x2, d.y2) for _, _, d in truth])),
             [int(d.beta) for _, _, d in truth],
         )
-        records = streams[cid]
-        write_detection_csv(outdir / f"det_{cid}.csv", DetectionColumns(
-            np.repeat([r.frame_index for r in records], [len(r.alpha) for r in records]),
-            np.concatenate([np.empty((0, 4))] + [r.boxes for r in records]),
-            np.concatenate([np.empty(0)] + [r.alpha for r in records]),
-            np.concatenate([np.empty(0, np.int64)] + [r.beta for r in records]),
-        ))
-        rows = [r.embeddings for r in records if r.embeddings is not None]
-        stacked = np.vstack(rows) if rows else np.zeros((0, scenario.embed_dim))
-        write_embeddings(outdir / f"emb_{cid}.bin", stacked)
+        write_detection_csv(outdir / f"det_{cid}.csv", streams[cid].columns)
+        write_embeddings(outdir / f"emb_{cid}.bin", streams[cid].embeddings)
 
 
 def first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
@@ -539,8 +517,9 @@ def load_scenario(outdir) -> Scenario:
         raise MalformedInput(f"{meta}: {exc}") from None
 
 
-def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
-    """Read a written scenario directory back into streams (float32 embeddings).
+def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, CameraStream]]:
+    """Read a written scenario directory back into one ``CameraStream`` per
+    camera (float32 embeddings); no frame's record is built here.
 
     The scenario.json goes through ``load_scenario``.  A detection file with
     a frame outside the clip, an embedding file that does not parse, an
@@ -552,7 +531,7 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
     """
     outdir = Path(outdir)
     scenario = load_scenario(outdir)
-    streams: dict[str, list[FrameRecord]] = {}
+    streams: dict[str, CameraStream] = {}
     for cid in scenario.camera_ids:
         det_path = outdir / f"det_{cid}.csv"
         columns = read_detection_csv(det_path)
@@ -570,11 +549,10 @@ def load_scenario_dir(outdir) -> tuple[Scenario, dict[str, list[FrameRecord]]]:
         if bad is not None:
             raise MalformedInput(f"{emb_path}: row {bad[0]} is not a finite unit vector "
                                  f"(norm {bad[1]})")
-        if len(columns) != emb.shape[0]:
-            raise MalformedInput(
-                f"{emb_path}: {emb.shape[0]} embeddings for {len(columns)} detections"
-            )
-        streams[cid] = frame_records(cid, scenario.n_frames, columns, emb)
+        try:
+            streams[cid] = CameraStream(cid, scenario.n_frames, columns, emb)
+        except ValueError as exc:  # a row count other than the detection file's
+            raise MalformedInput(f"{emb_path}: {exc}") from None
     return scenario, streams
 
 

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mcvt import ingest
 from mcvt.cli import _read_labels
 from mcvt.errors import MalformedInput
 from mcvt.ingest import (
+    CameraStream,
     Detection,
     DetectionColumns,
     FrameRecord,
@@ -94,23 +96,57 @@ def test_iou_cases():
 def test_filter_confidence_keeps_order():
     alpha = np.array([0.9, 0.1, 0.5, 0.3])
     kept = filter_confidence_indices(alpha, 0.3)
-    assert kept == [0, 2, 3]
+    assert kept.tolist() == [0, 2, 3]
     assert alpha[kept].tolist() == [0.9, 0.5, 0.3]
+    assert filter_confidence_indices(np.empty(0), 0.3).tolist() == []
 
 
 def test_frame_record_embedding_alignment():
-    dets = [box(0, 0, 1, 1), box(2, 2, 3, 3)]
-    emb = np.eye(2, 4)
-    fr = record("c1", 0, dets, emb)
-    sub = fr.select([1])
-    assert sub.detections == [dets[1]]
-    assert np.array_equal(sub.embeddings, emb[[1]])
+    dets = [box(0, 0, 1, 1), box(2, 2, 3, 3), box(4, 4, 5, 5)]
+    emb = np.eye(3, 4)
+    sub = CameraStream("c1", 3, columns([0, 0, 2], dets), emb).select([1, 2])
+    assert len(sub) == 3 and sub.camera == "c1"
+    assert sub[0].detections == [dets[1]] and np.array_equal(sub[0].embeddings, emb[[1]])
+    assert sub[1].detections == [] and sub[1].embeddings.shape == (0, 4)
+    assert sub[2].detections == [dets[2]] and np.array_equal(sub[2].embeddings, emb[[2]])
     with pytest.raises(ValueError):
-        record("c1", 0, dets, np.eye(3, 4))
+        CameraStream("c1", 3, columns([0, 0, 2], dets), np.eye(2, 4))
+    with pytest.raises(ValueError):
+        record("c1", 0, dets, np.eye(4, 4))
     with pytest.raises(ValueError):
         record("c1", -1, dets)
+    fr = record("c1", 0, dets)
     with pytest.raises(ValueError):
         FrameRecord("c1", 0, fr.boxes, fr.alpha[:1], fr.beta)
+
+
+def test_a_stream_frame_is_its_rows_of_the_columns():
+    scenario, gt = gen_scenario(3, 3, 6, 30.0)
+    profile = NoiseProfile(box_jitter_std=2.0, miss_rate=0.2, false_positive_rate=0.3)
+    streams = render_detections(scenario, gt, profile)
+    n_truth = sum(len(pairs) for per_frame in gt.boxes.values() for pairs in per_frame.values())
+    sizes = Counter()
+    for cid, stream in streams.items():
+        cols, emb = stream.columns, stream.embeddings
+        assert stream.camera == cid and len(stream) == scenario.n_frames
+        assert emb.shape == (len(cols), scenario.embed_dim)
+        for i, frame in enumerate(stream):
+            rows = np.flatnonzero(cols.frames == i)
+            assert frame.camera == cid and frame.frame_index == i
+            for name, column in (("boxes", cols.boxes), ("alpha", cols.alpha),
+                                 ("beta", cols.beta), ("embeddings", emb)):
+                got = getattr(frame, name)
+                assert got.dtype == column.dtype and np.array_equal(got, column[rows]), name
+            assert frame.embeddings.shape == (len(rows), scenario.embed_dim)
+            sizes[len(rows)] += 1
+        assert i == scenario.n_frames - 1
+        with pytest.raises(IndexError):
+            stream[scenario.n_frames]
+    # False positives have confidences in [0.5, 1), true boxes 1.0.
+    true_rows = sum(int((stream.columns.alpha == 1.0).sum()) for stream in streams.values())
+    false_rows = sum(int((stream.columns.alpha < 1.0).sum()) for stream in streams.values())
+    assert sizes[0] > 0 and max(sizes) >= 2  # empty frames and frames of several rows
+    assert 0 < true_rows < n_truth and false_rows > 0  # misses and false positives
 
 
 def test_detection_csv_roundtrip(tmp_path):
@@ -262,30 +298,31 @@ def test_a_frame_beyond_int64_goes_through_the_per_row_parse(tmp_path):
     path.write_text("0,-1,1,2,3,4,0.5,1\n99999999999999999999,-1,1,2,3,4,0.5,1\n")
     with pytest.raises(OverflowError):
         ingest._read_detection_columns(path)
-    assert read_detection_csv(path).frames.tolist() == [0, 99999999999999999999]
+    with pytest.raises(MalformedInput) as exc:
+        read_detection_csv(path)
+    assert str(exc.value) == (f"{path}, line 2: bad detection row "
+                              "'99999999999999999999,-1,1,2,3,4,0.5,1' "
+                              "(99999999999999999999 does not fit in 64 bits)")
 
     scenario, gt = gen_scenario(0, 2, 4, 20.0)
     write_scenario_dir(scenario, gt, render_detections(scenario, gt, NoiseProfile()),
                        tmp_path / "scn")
     det = tmp_path / "scn" / "det_c001.csv"
     *head, last = det.read_text().splitlines(keepends=True)
-    det.write_text("".join(head) + "99999999999999999999" + last[last.index(","):])
+    row = "99999999999999999999" + last[last.index(","):]
+    det.write_text("".join(head) + row)
     with pytest.raises(MalformedInput) as exc:
         load_scenario_dir(tmp_path / "scn")
-    assert str(exc.value) == (f"{det}: frame 99999999999999999999 outside the clip's [0, 200)")
+    assert str(exc.value) == (f"{det}, line {len(head) + 1}: bad detection row "
+                              f"{row.strip()!r} (99999999999999999999 does not fit in 64 bits)")
 
 
 def test_scenario_detections_round_trip_through_the_file(tmp_path):
     scenario, gt = gen_scenario(4, 3, 8, 30.0)
     profile = NoiseProfile(box_jitter_std=2.0, miss_rate=0.1, false_positive_rate=0.3)
     streams = render_detections(scenario, gt, profile)
-    for cid, records in streams.items():
-        written = DetectionColumns(
-            np.repeat([r.frame_index for r in records], [len(r.alpha) for r in records]),
-            np.concatenate([r.boxes for r in records]),
-            np.concatenate([r.alpha for r in records]),
-            np.concatenate([r.beta for r in records]),
-        )
+    for cid, stream in streams.items():
+        written = stream.columns
         path = tmp_path / f"det_{cid}.csv"
         write_detection_csv(path, written)
         loaded = read_detection_csv(path)

@@ -7,12 +7,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcvt import kalman, pipeline, sct
 from mcvt.errors import ConfigError, MalformedInput, SourceMissing
-from mcvt.ingest import Detection, FrameRecord, VehicleClass
+from mcvt.geo import CameraInfo, make_topology
+from mcvt.ingest import CameraStream, Detection, DetectionColumns, FrameRecord
 from mcvt.metrics import evaluate_identity, load_global_trajectories
 from mcvt.pipeline import (
     QUEUE_SECONDS,
@@ -29,6 +30,7 @@ from mcvt.simkit import (
     NoiseProfile,
     gen_scenario,
     load_ground_truth,
+    load_scenario_dir,
     render_detections,
     write_scenario_dir,
 )
@@ -139,14 +141,110 @@ class TestConfig:
             PipelineConfig.from_file(bad)
 
 
-def test_prepare_builds_a_record_only_when_the_filter_drops_a_detection():
-    dets = [Detection(0, 0, 10, 10, 0.9, VehicleClass.CAR),
-            Detection(20, 0, 30, 10, 0.4, VehicleClass.CAR)]
-    frame = FrameRecord("c001", 0, np.array([[0.0, 0, 10, 10], [20, 0, 30, 10]]),
-                        np.array([0.9, 0.4]), np.array([1, 1]), np.eye(2, 4))
-    assert pipeline._prepare(frame, PipelineConfig(scenario_dir="d", alpha_min=0.4)) is frame
-    kept = pipeline._prepare(frame, PipelineConfig(scenario_dir="d", alpha_min=0.5))
-    assert kept.detections == dets[:1] and np.array_equal(kept.embeddings, np.eye(2, 4)[:1])
+def test_prepare_builds_a_record_only_when_the_filter_drops_a_detection(monkeypatch):
+    # The source is filtered once per camera: a stream whose rows all pass is
+    # kept as it is, and a record given back its own embeddings is kept too.
+    scenario, gt = gen_scenario(SEED, N_CAMS, N_VEHICLES, DURATION_S)
+    streams = render_detections(scenario, gt, NoiseProfile(false_positive_rate=0.5))
+    monkeypatch.setattr(pipeline.simkit, "render_detections", lambda *args: dict(streams))
+    sim = dict(seed=SEED, n_cams=N_CAMS, n_vehicles=N_VEHICLES, duration_s=DURATION_S)
+    _, same = pipeline._load_source(PipelineConfig(sim=sim, alpha_min=0.5))
+    assert all(same[cid] is stream for cid, stream in streams.items())  # every alpha >= 0.5
+    _, kept = pipeline._load_source(PipelineConfig(sim=sim, alpha_min=0.75))
+    for cid, stream in streams.items():
+        assert len(kept[cid].columns) < len(stream.columns)
+        rows = stream.columns.alpha >= 0.75
+        assert np.array_equal(kept[cid].columns.boxes, stream.columns.boxes[rows])
+        assert np.array_equal(kept[cid].embeddings, stream.embeddings[rows])
+
+    record = next(frame for frame in streams["c001"] if len(frame.alpha))
+    assert pipeline._embed([record], [record.embeddings], scenario.embed_dim) == [record]
+    copy = record.embeddings.copy()
+    (embedded,) = pipeline._embed([record], [copy], scenario.embed_dim)
+    assert embedded is not record and embedded.embeddings is copy
+    assert embedded.detections == record.detections
+
+
+def test_a_filtered_stream_is_the_per_frame_filter(noisy_dir):
+    _, everything = pipeline._load_source(PipelineConfig(scenario_dir=str(noisy_dir),
+                                                         alpha_min=0.0))
+    _, filtered = pipeline._load_source(PipelineConfig(scenario_dir=str(noisy_dir),
+                                                       alpha_min=0.75))
+    dropped = 0
+    for cid, stream in everything.items():
+        assert len(filtered[cid]) == len(stream)
+        for full, kept in zip(stream, filtered[cid]):
+            rows = full.alpha >= 0.75
+            dropped += int(np.count_nonzero(~rows))
+            assert (kept.camera, kept.frame_index) == (cid, full.frame_index)
+            for name in ("boxes", "alpha", "beta", "embeddings"):
+                assert np.array_equal(getattr(kept, name), getattr(full, name)[rows]), name
+    assert dropped > 0
+
+
+@st.composite
+def small_scenarios(draw):
+    """A small rendered scenario: (scenario, ground truth, streams)."""
+    scenario, gt = gen_scenario(draw(st.integers(0, 2**16)), draw(st.integers(1, 3)),
+                                draw(st.integers(0, 6)), 10.0, embed_dim=8)
+    profile = NoiseProfile(
+        box_jitter_std=draw(st.sampled_from([0.0, 2.0])),
+        miss_rate=draw(st.sampled_from([0.0, 0.2])),
+        false_positive_rate=draw(st.sampled_from([0.0, 0.3])),
+        embedding_noise_std=draw(st.sampled_from([0.0, 0.25])),
+    )
+    return scenario, gt, render_detections(scenario, gt, profile)
+
+
+def run_outputs(scenario_dir, out_dir) -> dict[str, bytes]:
+    """Every file a run writes but report.json, whose timings vary."""
+    run(PipelineConfig(scenario_dir=str(scenario_dir), out_dir=str(out_dir)))
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())
+            if path.name != "report.json"}
+
+
+@settings(max_examples=10)
+@given(case=small_scenarios(), silent=st.sampled_from(["a0", "c001x", "z9"]))
+def test_a_silent_camera_changes_no_track(tmp_path_factory, case, silent):
+    # The silent camera sorts first, between two cameras or last.
+    scenario, gt, streams = case
+    tmp = tmp_path_factory.mktemp("silent")
+    write_scenario_dir(scenario, gt, streams, tmp / "plain")
+    topo = scenario.topology
+    scenario.topology = make_topology(
+        [*topo.cameras.values(), CameraInfo(silent, topo.cameras["c001"].homography)],
+        topo.adjacency, topo.overlap,
+    )
+    nothing = DetectionColumns(np.empty(0, np.int64), np.empty((0, 4)), np.empty(0),
+                               np.empty(0, np.int64))
+    streams[silent] = CameraStream(silent, scenario.n_frames, nothing,
+                                   np.empty((0, scenario.embed_dim)))
+    write_scenario_dir(scenario, gt, streams, tmp / "silent")
+
+    _, loaded = load_scenario_dir(tmp / "silent")
+    assert len(loaded[silent]) == scenario.n_frames
+    assert all(len(frame.alpha) == 0 and frame.embeddings.shape == (0, scenario.embed_dim)
+               for frame in loaded[silent])
+    plain = run_outputs(tmp / "plain", tmp / "plain_out")
+    with_silent = run_outputs(tmp / "silent", tmp / "silent_out")
+    assert with_silent == plain  # no sct file either: the camera holds no track
+
+
+@settings(max_examples=10)
+@given(case=small_scenarios(), data=st.data())
+def test_camera_order_in_scenario_json_changes_no_output(tmp_path_factory, case, data):
+    scenario, gt, streams = case
+    tmp = tmp_path_factory.mktemp("order")
+    write_scenario_dir(scenario, gt, streams, tmp / "scn")
+    written = run_outputs(tmp / "scn", tmp / "sorted_out")
+    meta = tmp / "scn" / "scenario.json"
+    spec = json.loads(meta.read_text())
+    topology = spec["topology"]
+    topology["cameras"] = data.draw(st.permutations(topology["cameras"]))
+    topology["adjacent"] = [data.draw(st.permutations(pair))
+                            for pair in data.draw(st.permutations(topology["adjacent"]))]
+    meta.write_text(json.dumps(spec, indent=2) + "\n")
+    assert run_outputs(tmp / "scn", tmp / "permuted_out") == written
 
 
 class TestOffline:
@@ -372,6 +470,23 @@ class TestOffline:
         assert built["detections"] == 0
         Detection(0, 0, 1, 1, 1.0)  # the counter does count
         assert built["detections"] == 1
+
+
+    @pytest.mark.parametrize("alpha_min", [0.1, 0.75])
+    def test_a_run_builds_one_frame_record_per_processed_frame(self, noisy_dir, monkeypatch,
+                                                               alpha_min):
+        built = Counter()
+        check = FrameRecord.__post_init__
+
+        def counted(self):
+            built["records"] += 1
+            check(self)
+
+        monkeypatch.setattr(FrameRecord, "__post_init__", counted)
+        load_scenario_dir(noisy_dir)
+        assert built["records"] == 0
+        report = run(PipelineConfig(scenario_dir=str(noisy_dir), alpha_min=alpha_min))
+        assert built["records"] == sum(report.frames.values()) == 600
 
 
 class TestRealTime:

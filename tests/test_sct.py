@@ -8,7 +8,7 @@ from test_kalman import reference_predict, reference_project, reference_update, 
 
 from mcvt import kalman, sct
 from mcvt.errors import EmptyGallery, OutOfOrderFrame
-from mcvt.ingest import Detection, FrameRecord, VehicleClass, iou, iou_matrix
+from mcvt.ingest import Detection, FrameRecord, VehicleClass, iou, iou_pairs
 from mcvt.kalman import to_observation
 from mcvt.sct import (
     ConcludedTrack,
@@ -448,7 +448,7 @@ def test_iou_matrix_equals_iou_exactly(a, b):
     def corners(dets):
         return np.array([(d.x1, d.y1, d.x2, d.y2) for d in dets]).reshape(len(dets), 4)
 
-    got = iou_matrix(corners(a), corners(b))
+    got = iou_pairs(corners(a)[:, None], corners(b)[None])
     assert got.shape == (len(a), len(b))
     for i, da in enumerate(a):
         for j, db in enumerate(b):
@@ -515,7 +515,7 @@ def test_tick_costs_equal_the_one_camera_matrices(cameras):
         iou_block, gate, appearance = costs.blocks(c)
         boxes = np.array([(d.x1, d.y1, d.x2, d.y2) for d in frame.detections]).reshape(-1, 4)
         predicted = np.array([predicted_box(t) for t in camera_tracks]).reshape(-1, 4)
-        assert np.array_equal(iou_block, iou_matrix(predicted, boxes))
+        assert np.array_equal(iou_block, iou_pairs(predicted[:, None], boxes[None]))
         confirmed = [t for t in camera_tracks if t.status is TrackStatus.CONFIRMED]
         assert gate.shape == appearance.shape == (len(confirmed), len(boxes))
         if confirmed and len(boxes):

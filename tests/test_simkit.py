@@ -259,10 +259,7 @@ class TestRender:
                 truth = gt.boxes[cid].get(record.frame_index, [])
                 assert record.detections == [det for _, det in truth]
                 assert record.camera == cid
-                if truth:
-                    assert record.embeddings.shape == (len(truth), scenario.embed_dim)
-                else:
-                    assert record.embeddings is None
+                assert record.embeddings.shape == (len(truth), scenario.embed_dim)
 
     def test_noiseless_embeddings_are_prototypes(self):
         scenario, gt = small_scenario()
@@ -288,10 +285,7 @@ class TestRender:
         for cid in scenario.camera_ids:
             for a, b in zip(one[cid], two[cid]):
                 assert a.detections == b.detections
-                if a.embeddings is None:
-                    assert b.embeddings is None
-                else:
-                    assert np.array_equal(a.embeddings, b.embeddings)
+                assert np.array_equal(a.embeddings, b.embeddings)
 
     def test_miss_rate_concentrates(self):
         scenario, gt = gen_scenario(11, 4, 20, 60.0)
@@ -318,8 +312,7 @@ class TestRender:
         assert abs(extra - expected) < 4.0 * np.sqrt(expected)
         for cid in streams:  # embeddings stay row-aligned with detections
             for r in streams[cid]:
-                n_rows = 0 if r.embeddings is None else r.embeddings.shape[0]
-                assert n_rows == len(r.detections)
+                assert r.embeddings.shape[0] == len(r.detections)
 
     def test_jitter_moves_but_preserves_size(self):
         scenario, gt = small_scenario()
@@ -363,11 +356,7 @@ class TestScenarioDir:
                     assert da.x1 == pytest.approx(db.x1, abs=3e-4)
                     assert da.y2 == pytest.approx(db.y2, abs=3e-4)
                     assert da.beta == db.beta
-                if b.embeddings is None:
-                    assert a.embeddings is None
-                else:
-                    assert np.array_equal(a.embeddings,
-                                          b.embeddings.astype(np.float32))
+                assert np.array_equal(a.embeddings, b.embeddings.astype(np.float32))
 
     def test_written_dirs_are_byte_identical(self, tmp_path):
         profile = NoiseProfile(box_jitter_std=2.0, miss_rate=0.1,
